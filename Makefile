@@ -97,14 +97,14 @@ bench:
 bench-obs:
 	PYTHONPATH=src python -m repro.obs.bench --out BENCH_pipeline.json
 
-# Persist-path benchmark: batched-submission pooled writers vs. the
-# legacy spawn-per-persist copying path for p=1/2/4 on simulated SSD and
-# PMEM (best-of-N rounds), the parallel-persist scaling block at
-# p=1/2/4/8, a 2-member striped-vs-single comparison, and the pipeline's
-# copies-per-checkpoint + CRC/persist overlap numbers. Writes
-# BENCH_persist.json; exits non-zero if pooled < 2x legacy at p=4 on
-# SSD, p=4 scaling < 1.3x p=1, striped < 1.2x single-device, or the hot
-# path copies more than 1x the payload per checkpoint.
+# Persist-path benchmark: pooled writers persisting each batch as one
+# submit/reap vs. the legacy spawn-per-persist copying path for p=1/2/4
+# on simulated SSD and PMEM (best-of-N rounds), the parallel-persist
+# scaling block at p=1/2/4/8, a 2-member striped-vs-single comparison,
+# and the pipeline's copies-per-checkpoint + CRC/persist overlap numbers.
+# Writes BENCH_persist.json; exits non-zero if pooled < 2x legacy at p=4
+# on SSD, p=4 scaling < 1.3x p=1, striped < 1.2x single-device, or the
+# hot path copies more than 1x the payload per checkpoint.
 bench-persist:
 	PYTHONPATH=src python -m repro.obs.persist_bench --out BENCH_persist.json
 

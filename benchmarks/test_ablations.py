@@ -34,6 +34,12 @@ PAYLOAD = b"\x5a" * (256 * 1024)
 BANDWIDTH = 10e6  # ~26 ms to persist one payload
 
 
+def persist(writer, payload):
+    """Blocking persist of ``payload`` at offset 0, then shut the pool."""
+    with writer:
+        writer.reap(writer.submit([(0, payload)]))
+
+
 def burst_wall_time(num_concurrent, checkpoints=4):
     """Issue `checkpoints` back-to-back async checkpoints; time to drain."""
     config = PCcheckConfig(
@@ -71,20 +77,20 @@ class TestFenceDisciplineAblation:
         every writer thread must fence its own range."""
         ssd = InMemorySSD(1 << 20)
         pmem = SimulatedPMEM(1 << 20)
-        ParallelWriter(ssd, num_threads=4).persist(0, b"x" * 64 * 1024)
-        ParallelWriter(pmem, num_threads=4).persist(0, b"x" * 64 * 1024)
+        persist(ParallelWriter(ssd, num_threads=4), b"x" * 64 * 1024)
+        persist(ParallelWriter(pmem, num_threads=4), b"x" * 64 * 1024)
         assert ssd.stats.persist_ops == 1
         assert pmem.stats.persist_ops == 4
 
         def persist_ssd():
             device = InMemorySSD(1 << 20)
-            ParallelWriter(device, num_threads=4).persist(0, b"x" * 64 * 1024)
+            persist(ParallelWriter(device, num_threads=4), b"x" * 64 * 1024)
 
         benchmark(persist_ssd)
 
     def test_both_disciplines_are_durable(self):
         for device in (InMemorySSD(1 << 20), SimulatedPMEM(1 << 20)):
-            ParallelWriter(device, num_threads=3).persist(0, b"d" * 1000)
+            persist(ParallelWriter(device, num_threads=3), b"d" * 1000)
             device.crash()
             device.recover()
             assert device.read(0, 1000) == b"d" * 1000

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 
 from repro.core.distributed import (
-    CheckpointBarrier,
+    DistributedCoordinator,
     DistributedWorker,
     recover_consistent,
 )
@@ -49,12 +49,12 @@ def main() -> None:
     slot_size = capacity + RECORD_SIZE
     geometry = Geometry(num_slots=3, slot_size=slot_size)
 
-    barrier = CheckpointBarrier(WORLD_SIZE, timeout=1.0)
+    coordinator = DistributedCoordinator(WORLD_SIZE, timeout=1.0)
     workers = []
     for rank in range(WORLD_SIZE):
         device = InMemorySSD(geometry.total_size, name=f"ssd-rank{rank}")
         layout = DeviceLayout.format(device, num_slots=3, slot_size=slot_size)
-        workers.append(DistributedWorker.create(rank, layout, barrier))
+        workers.append(DistributedWorker.create(rank, layout, coordinator))
 
     def checkpoint_step(step, dead_ranks=()):
         """All live workers checkpoint their partition for `step`."""
@@ -82,14 +82,14 @@ def main() -> None:
                 param.data += 0.01
         checkpoint_step(step)
         print(f"  step {step}: all ranks committed; "
-              f"globally consistent peer_check = {barrier.peer_check}")
+              f"globally consistent peer_check = {coordinator.peer_check}")
 
     print("\n=== rank 2 dies before checkpoint 3 ===")
     for model in partitions:
         for param in model.parameters():
             param.data += 0.01
     checkpoint_step(3, dead_ranks=(2,))
-    print(f"  peer_check still = {barrier.peer_check} "
+    print(f"  peer_check still = {coordinator.peer_check} "
           f"(step 3 never became globally consistent)")
 
     print("\n=== recovery across all four devices ===")
@@ -103,6 +103,7 @@ def main() -> None:
           "group recovers step 2 — the last step ALL workers completed. "
           "Holding the superseded slot across the barrier is what makes "
           "this safe.")
+    coordinator.close()
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.distributed import (
-    CheckpointBarrier,
     DistributedCoordinator,
     DistributedWorker,
     recover_consistent,
@@ -277,7 +276,7 @@ class EngineOneShotWorkload(Workload):
 
 
 class StreamingTicketWorkload(Workload):
-    """Interleaved ``begin``/``write_chunk``/``commit`` ticket pairs.
+    """Interleaved ``begin``/``submit_chunk``/``commit`` ticket pairs.
 
     Commits each pair in reverse order, so every odd ticket exercises the
     superseded path (Listing 1 lines 29–31) deterministically.
@@ -304,7 +303,9 @@ class StreamingTicketWorkload(Workload):
                     payload = self.expected_payload(spec, ticket.step)
                     third = max(1, len(payload) // 3)
                     for lo in range(0, len(payload), third):
-                        ticket.write_chunk(payload[lo : lo + third])
+                        ticket.reap(
+                            ticket.submit_chunk(payload[lo : lo + third])
+                        )
                 # Reverse commit order: `first` holds the smaller counter
                 # and gets superseded by `second`'s commit.
                 for ticket in (second, first):
@@ -397,9 +398,6 @@ class DistributedWorkload(Workload):
             for rank in range(1, spec.world_size)
         ]
         journal.aux["peer_devices"] = peers
-        barrier = CheckpointBarrier(
-            spec.world_size, timeout=spec.barrier_timeout
-        )
         try:
             layouts = [
                 DeviceLayout.format(
@@ -416,9 +414,12 @@ class DistributedWorkload(Workload):
             )
             for peer in peers
         ]
+        coordinator = DistributedCoordinator(
+            spec.world_size, timeout=spec.barrier_timeout
+        )
         workers = [
             DistributedWorker.create(
-                rank, layout, barrier, writer_threads=spec.writer_threads
+                rank, layout, coordinator, writer_threads=spec.writer_threads
             )
             for rank, layout in enumerate(layouts)
         ]
@@ -453,7 +454,7 @@ class DistributedWorkload(Workload):
                 journal.ack(step, results[0].counter)
             self._check_held_slot_invariant(workers, spec, journal)
         finally:
-            DistributedCoordinator.for_barrier(barrier).close()
+            coordinator.close()
         return journal
 
     def _check_held_slot_invariant(

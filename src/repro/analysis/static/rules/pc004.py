@@ -15,10 +15,10 @@ commit.  Lexically, inside one function that means:
 Cross-function fence ordering (e.g. the engine persisting the slot
 header in ``_commit`` before calling ``_write_commit_record``) is out
 of lexical reach.  In project mode the interprocedural PC010 owns the
-"followed by a fence" half — it sees fences placed in callers and
-``persist_many`` single-fence batches — so this rule then checks only
-the intra-function slot-write-before-commit ordering and leaves the
-rest to PC010.  Single-file runs keep both halves.
+"followed by a fence" half — it sees fences placed in callers and the
+one covering fence a batch ``reap`` issues — so this rule then checks
+only the intra-function slot-write-before-commit ordering and leaves
+the rest to PC010.  Single-file runs keep both halves.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from repro.analysis.static.rulebase import FileContext, Rule, register
 #: Calls that act as a durability fence.
 FENCE_CALLS = {"persist", "fsync", "fdatasync", "msync", "sfence", "sync"}
 
-#: Batch APIs that persist every queued piece behind one covering fence:
-#: ``persist_many`` (the pooled writer's batched submit+reap) and
-#: ``persist_striped`` (the same barrier over a striped device, which
-#: fences every stripe member).  PC010 treats a call to either as a
-#: fence on the interprocedural path.
-BATCHED_FENCE_CALLS = {"persist_many", "persist_striped"}
+#: The batch call that issues one covering fence for every queued piece:
+#: ``reap`` settles a ``submit`` batch (the pooled writer's, or a
+#: ticket's chunk submission), fencing the whole batch — on a striped
+#: device one fence per member.  ``submit`` alone fences nothing.  PC010
+#: treats a ``reap`` call as a fence on the interprocedural path.
+BATCHED_FENCE_CALLS = {"reap"}
 
 #: Markers identifying a write as targeting the commit record.
 _COMMIT_MARKERS = ("encode_commit_record", "commit_offset")

@@ -3,16 +3,17 @@
 PC004's lexical check stops at the function boundary, which forces the
 fence into the same function as the write even when the design puts it
 one level up (the engine persists after ``_write_commit_record``
-returns; the batcher coalesces many commits under one
-``persist_many``).  This rule lifts the check to the whole program:
+returns; a batch of writes is covered by the one fence its ``reap``
+issues).  This rule lifts the check to the whole program:
 
 a commit-record write is *covered* when, on **every** CFG path from
 the write, a fence executes before control leaves the program's reach
 — in the writing function itself, in a callee that always fences
 (computed as a fixed point, so helpers like ``_barrier()`` count), or
-in a transitive caller after the call returns.  ``persist_many``
-counts as a fence: PR 4's batching contract is one fence for the whole
-batch, and that is precisely the pattern PC004 could not see.
+in a transitive caller after the call returns.  A ``reap`` counts as a
+fence: the writer's batching contract is one covering fence for the
+whole ``submit`` batch, issued by ``reap`` — precisely the pattern
+PC004 could not see.  ``submit`` alone does not count.
 
 ``raise`` paths carry no obligation (recovery re-derives state from
 what *was* persisted), and a function nobody calls must fence locally
@@ -37,8 +38,7 @@ from repro.analysis.static.rules.pc004 import (
     _targets_commit_record,
 )
 
-#: Interprocedural fences: PC004's set plus the single-fence batch APIs
-#: (``persist_many``, ``persist_striped``).
+#: Interprocedural fences: PC004's set plus the batch ``reap``.
 INTER_FENCE_CALLS = FENCE_CALLS | BATCHED_FENCE_CALLS
 
 #: How many caller levels may supply the covering fence.
@@ -145,7 +145,7 @@ class InterprocedurallyUnfencedCommit(ProjectRule):
     def _message(self, finfo: FunctionInfo, chain: List[CallSite]) -> str:
         base = (
             "commit-record write can complete without a covering fence: "
-            f"no fence (or persist_many batch) on every path out of "
+            f"no fence (or batch reap) on every path out of "
             f"'{finfo.name}'"
         )
         if not chain:

@@ -86,8 +86,8 @@ def iter_chunk_views(
     """Yield ``(offset, view)`` per chunk of ``payload`` — zero copies.
 
     Each view is an O(1) memoryview slice of the payload, suitable for
-    feeding straight into ``ticket.write_chunk`` or
-    :func:`repro.core.writer.persist_scattered` without ever
+    feeding straight into ``ticket.submit_chunk`` or
+    :meth:`repro.core.writer.ParallelWriter.submit` without ever
     materializing a per-chunk ``bytes`` object.
     """
     view = as_view(payload)

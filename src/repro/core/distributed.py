@@ -159,11 +159,11 @@ class BarrierRound:
 class CheckpointBarrier:
     """Rank-0 style coordination: one release round per checkpoint step.
 
-    Every worker reports ``step`` after its CAS via :meth:`arrive` (or
-    the blocking :meth:`synchronize`); a round completes once all
-    ``world_size`` workers reported the same step.  Workers may be
-    several rounds apart when checkpoints are issued concurrently, so
-    rounds are keyed by step and settle independently.
+    Every worker reports ``step`` after its CAS via :meth:`arrive`; a
+    round completes once all ``world_size`` workers reported the same
+    step.  Workers may be several rounds apart when checkpoints are
+    issued concurrently, so rounds are keyed by step and settle
+    independently.
 
     Settled rounds are garbage-collected immediately: memory is bounded
     by in-flight rounds plus a fixed window of tombstones
@@ -314,23 +314,6 @@ class CheckpointBarrier:
         if to_settle is not None:
             self._notify(to_settle.outcome)
         return BarrierRound(self, round_, rank)
-
-    def synchronize(self, rank: int, step: int) -> None:
-        """Report ``step`` from ``rank``; block until all peers reported it.
-
-        The legacy blocking entry point: equivalent to
-        ``arrive(rank, step).wait()``.
-        """
-        started = time.monotonic()
-        handle = self.arrive(rank, step)
-        try:
-            handle.wait()
-        finally:
-            self._metrics.observe(
-                M.BARRIER_WAIT_SECONDS,
-                time.monotonic() - started,
-                rank=str(rank),
-            )
 
     def fail_round(self, step: int, reason: str) -> Optional[RoundOutcome]:
         """Declare the round for ``step`` failed (if still pending).
@@ -649,21 +632,6 @@ class DistributedCoordinator:
         self._closed = False
         barrier.add_listener(self._on_round_complete, self._on_round_failed)
 
-    @classmethod
-    def for_barrier(cls, barrier: CheckpointBarrier) -> "DistributedCoordinator":
-        """The coordinator bound to ``barrier``, created on first use.
-
-        Lets legacy call sites that share a bare barrier object
-        transparently share one coordinator (and its held-slot
-        bookkeeping) as well.
-        """
-        with _ADOPTION_LOCK:
-            coordinator = getattr(barrier, "_coordinator", None)
-            if coordinator is None:
-                coordinator = cls(barrier=barrier)
-                barrier._coordinator = coordinator  # noqa: SLF001
-            return coordinator
-
     # ------------------------------------------------------------------
     # group state
 
@@ -915,20 +883,13 @@ class DistributedCoordinator:
             self._barrier.expire_overdue()
 
 
-#: Guards lazy coordinator adoption for bare CheckpointBarrier objects.
-_ADOPTION_LOCK = threading.Lock()
-
-
-def _coerce_coordinator(group) -> DistributedCoordinator:
-    """Accept either a coordinator or a legacy bare barrier."""
-    if isinstance(group, DistributedCoordinator):
-        return group
-    if isinstance(group, CheckpointBarrier):
-        return DistributedCoordinator.for_barrier(group)
-    raise DistributedError(
-        f"expected a DistributedCoordinator or CheckpointBarrier, "
-        f"got {type(group).__name__}"
-    )
+def _require_coordinator(group) -> DistributedCoordinator:
+    """Return ``group``, rejecting anything but a coordinator."""
+    if not isinstance(group, DistributedCoordinator):
+        raise DistributedError(
+            f"expected a DistributedCoordinator, got {type(group).__name__}"
+        )
+    return group
 
 
 @dataclass
@@ -942,11 +903,6 @@ class DistributedWorker:
     #: is durable; the coordination round settles in the background and
     #: slot recycling is deferred until it does (§4.1, pipelined).
     pipelined: bool = False
-
-    @property
-    def barrier(self) -> CheckpointBarrier:
-        """The group's gather/release primitive (compat accessor)."""
-        return self.coordinator.barrier
 
     @classmethod
     def create(
@@ -962,11 +918,10 @@ class DistributedWorker:
     ) -> "DistributedWorker":
         """Build a worker whose engine coordinates after every CAS.
 
-        ``group`` is a :class:`DistributedCoordinator` or (legacy) a
-        bare :class:`CheckpointBarrier`, which is adopted into a shared
-        coordinator.
+        ``group`` is the :class:`DistributedCoordinator` shared by all
+        ranks.
         """
-        coordinator = _coerce_coordinator(group)
+        coordinator = _require_coordinator(group)
         engine = coordinator.bind_engine(
             rank,
             layout,
@@ -1039,7 +994,7 @@ class DistributedOrchestrator:
             )
         self.rank = rank
         self._orchestrator = orchestrator
-        self.coordinator = _coerce_coordinator(coordinator)
+        self.coordinator = _require_coordinator(coordinator)
 
     @classmethod
     def create(
@@ -1061,7 +1016,7 @@ class DistributedOrchestrator:
         from repro.core.orchestrator import PCcheckOrchestrator
         from repro.storage.dram import DRAMBufferPool
 
-        coordinator = _coerce_coordinator(group)
+        coordinator = _require_coordinator(group)
         engine = coordinator.bind_engine(
             rank,
             layout,

@@ -27,9 +27,10 @@ Invariants maintained (tested exhaustively in ``tests/``):
 
 The engine exposes a *ticket* API so the orchestrator can stream a
 checkpoint in pipelined chunks (§3.1, Figure 7): ``begin()`` reserves the
-slot and counter, ``write_chunk()`` persists consecutive pieces, and
-``commit()`` runs the header write plus CAS protocol.  ``checkpoint()``
-is the one-shot convenience wrapper.
+slot and counter, ``submit_chunk()`` queues consecutive pieces to the
+writer pool (``reap()`` settles one), and ``commit()`` reaps whatever is
+outstanding, then runs the header write plus CAS protocol.
+``checkpoint()`` is the one-shot convenience wrapper.
 """
 
 from __future__ import annotations
@@ -157,6 +158,10 @@ class CheckpointTicket:
         self._written = 0
         self._crc = 0
         self._done = False
+        #: True once the slot's fate left the ticket: its CAS won, or it
+        #: lost and the slot was recycled.  Failures after that point
+        #: must not recycle the slot again.
+        self._published = False
         #: Submissions handed to the writer pool but not yet reaped —
         #: their chunk buffers must stay stable, and :meth:`commit`
         #: settles them before the header can claim durability.
@@ -176,30 +181,24 @@ class CheckpointTicket:
         """Chunk submissions in flight (submitted, not yet reaped)."""
         return len(self._unreaped)
 
-    def write_chunk(self, chunk: Buffer) -> None:
-        """Persist the next consecutive piece of the payload.
+    def submit_chunk(self, chunk: Buffer, *more: Buffer) -> PersistSubmission:
+        """Queue the next consecutive piece(s) and CRC them while they write.
 
         Chunks may be scattered in DRAM but land at consecutive offsets in
         the slot (§3.1: "all the checkpoint's chunks are ordered and
         written to consecutive addresses on persistent storage").  Any
         C-contiguous buffer is accepted and never re-materialized as
-        ``bytes`` — the writer threads slice a memoryview of it.
+        ``bytes`` — the writer threads slice a memoryview of it.  Several
+        buffers in one call land back to back as ONE writer batch, so in
+        ``single`` fence mode they share one covering fence (the
+        multi-tenant service's coalescing path turns K small checkpoints
+        into a single fsync this way).
 
-        Internally the chunk is *submitted* to the pool first and its CRC
-        computed while the writes are in flight (``zlib.crc32`` drops the
-        GIL on large buffers), then reaped — so even the blocking call
-        overlaps checksum compute with device time.
-        """
-        self.reap(self.submit_chunk(chunk))
-
-    def submit_chunk(self, chunk: Buffer) -> "PersistSubmission":
-        """Queue the next consecutive piece and CRC it while it writes.
-
-        The pipelined half of :meth:`write_chunk`: the chunk's shares go
-        to the writer pool in one batched submission, the running payload
-        CRC is folded in *while* the pool writes, and the submission
-        comes back unreaped — no fence yet, durability pending.  The
-        caller must keep ``chunk``'s buffer stable until it calls
+        The shares go to the writer pool in one batched submission, the
+        running payload CRC is folded in *while* the pool writes
+        (``zlib.crc32`` drops the GIL on large buffers), and the
+        submission comes back unreaped — no fence yet, durability
+        pending.  The caller must keep the buffers stable until it calls
         :meth:`reap` (the orchestrator holds the staging buffer of chunk
         *k−1* exactly this long, so its CRC of chunk *k* overlaps the
         persist of chunk *k−1*).  :meth:`commit` reaps anything still
@@ -207,21 +206,7 @@ class CheckpointTicket:
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
-        view = as_view(chunk)
-        return self._submit_views([view])
-
-    def reap(self, submission: "PersistSubmission") -> None:
-        """Settle a :meth:`submit_chunk`: one wait + one covering fence.
-
-        Re-raises the first share failure; afterwards the chunk's buffer
-        may be recycled.  Idempotent per submission.
-        """
-        self._unreaped = [
-            pending for pending in self._unreaped if pending is not submission
-        ]
-        self._engine._reap_chunk(submission)
-
-    def _submit_views(self, views) -> "PersistSubmission":
+        views = [as_view(chunk)] + [as_view(extra) for extra in more]
         submission = self._engine._submit_chunk_batch(self, views)
         self._unreaped.append(submission)
         crc_start = time.monotonic()
@@ -231,46 +216,50 @@ class CheckpointTicket:
         self._engine._record_overlap(submission, crc_start, time.monotonic())
         return submission
 
-    def write_chunks(self, chunks) -> None:
-        """Persist several consecutive pieces as ONE writer batch.
+    def reap(self, submission: "PersistSubmission") -> None:
+        """Settle a :meth:`submit_chunk`: one wait + one covering fence.
 
-        The pieces land back-to-back at the slot's next offsets, exactly
-        as repeated :meth:`write_chunk` calls would, but they are handed
-        to the writer pool together via one batched
-        :meth:`~repro.core.writer.ParallelWriter.submit` — in ``single``
-        fence mode the whole batch is covered by one fence instead of
-        one per piece, and the batch CRC is computed while the pool
-        writes.  This is the engine-side hook the multi-tenant service's
-        coalescing path uses to turn K small checkpoints into a single
-        fsync.
+        Re-raises the first share failure; afterwards the chunk's buffers
+        may be recycled.  Idempotent per submission.
         """
-        if self._done:
-            raise EngineError("ticket already committed or aborted")
-        views = [as_view(chunk) for chunk in chunks]
-        views = [view for view in views if len(view)]
-        if not views:
-            return
-        self.reap(self._submit_views(views))
+        self._unreaped = [
+            pending for pending in self._unreaped if pending is not submission
+        ]
+        self._engine._reap_chunk(submission)
 
     def commit(self) -> CheckpointResult:
         """Finish the checkpoint: persist the header, run the CAS protocol.
 
         Any chunk submissions still in flight are reaped first — the
         commit record must never claim a payload whose covering fences
-        have not been issued.
+        have not been issued.  A non-crash error raised before the CAS
+        is won (a failed reap, a faulted header write) recycles the slot
+        and counts the ticket as aborted; a
+        :class:`~repro.errors.CrashedDeviceError` leaves it dangling for
+        post-restart recovery, as power loss does on hardware.
         """
         if self._done:
             raise EngineError("ticket already committed or aborted")
-        while self._unreaped:
-            self.reap(self._unreaped[0])
         self._done = True
-        return self._engine._commit(self, self._crc)
+        try:
+            while self._unreaped:
+                self._engine._reap_chunk(self._unreaped.pop(0))
+            return self._engine._commit(self, self._crc)
+        except CrashedDeviceError:
+            raise
+        except BaseException:
+            if not self._published:
+                self._release()
+            raise
 
     def abort(self) -> None:
         """Give the slot back without committing (e.g. snapshot failed)."""
         if self._done:
             return
         self._done = True
+        self._release()
+
+    def _release(self) -> None:
         # Settle in-flight submissions so no pool worker still references
         # the chunk buffers after the slot is recycled; their errors are
         # moot — the checkpoint is being thrown away — but the first one
@@ -501,7 +490,8 @@ class CheckpointEngine:
         root.set(counter=ticket.counter, slot=ticket.slot)
         try:
             with self._tracer.span("persist", parent=root):
-                ticket.write_chunk(payload)
+                ticket.reap(ticket.submit_chunk(payload))
+            result = ticket.commit()
         except CrashedDeviceError:
             # Power loss leaves the ticket dangling — the slot is
             # reclaimed only by post-restart recovery, as on hardware.
@@ -514,15 +504,13 @@ class CheckpointEngine:
             # slot, or each failed call permanently eats one of the N+1
             # slots (invariant 4).  Recycling is safe even after partial
             # payload writes: without a slot header the data can never
-            # validate.
+            # validate.  ``commit`` recycles the slot itself if the
+            # error struck there, making this abort a no-op; an error
+            # after the CAS was decided (a failed post-CAS hook) is no
+            # abort at all.
             ticket.abort()
-            self._tracer.end(root, status=STATUS_ABORTED)
-            raise
-        try:
-            result = ticket.commit()
-        except CrashedDeviceError:
-            self._metrics.inc(M.DANGLING)
-            self._tracer.end(root, status=STATUS_DANGLING)
+            if not ticket._published:
+                self._tracer.end(root, status=STATUS_ABORTED)
             raise
         status = STATUS_COMMITTED if result.committed else STATUS_SUPERSEDED
         self._tracer.end(root, status=status)
@@ -565,7 +553,7 @@ class CheckpointEngine:
 
         The pooled writer threads are shut down; a ticket still persisting
         after this point falls back to inline writes with identical fence
-        semantics, so late ``write_chunk``/``commit`` calls keep working.
+        semantics, so late ``submit_chunk``/``commit`` calls keep working.
         """
         self._closed = True
         self._writer.close()
@@ -647,6 +635,9 @@ class CheckpointEngine:
         except CrashedDeviceError:
             self._tracer.end(span, status=STATUS_DANGLING)
             raise
+        except BaseException as exc:
+            self._tracer.end(span, error=type(exc).__name__)
+            raise
         self._metrics.observe(
             M.STAGE_SECONDS, time.monotonic() - start, stage="commit"
         )
@@ -680,6 +671,7 @@ class CheckpointEngine:
                 # Line 30: barrier on CHECK_ADDR, then recycle our own slot.
                 self._persist_commit_record_barrier()
                 self._release_slot(ticket.slot, ticket_counter=meta.counter)
+                ticket._published = True
                 if self._sanitizer is not None:
                     self._sanitizer.on_ticket_done(
                         meta.counter, first_commit=False
@@ -695,6 +687,7 @@ class CheckpointEngine:
                 # Line 22-25: success — persist CHECK_ADDR durably, then
                 # hand the superseded checkpoint's slot back to the queue
                 # (or a coordination custodian, §4.1).
+                ticket._published = True
                 self._write_commit_record(meta)
                 superseded = last_check.slot if last_check is not None else None
                 try:

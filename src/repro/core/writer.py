@@ -22,29 +22,26 @@ Two properties keep this path at device speed:
   slice of that view — the old per-share ``payload[lo:hi]`` ``bytes``
   copies are gone.
 * **A pinned worker pool.**  The ``p`` writer threads are spawned once (on
-  the first multi-share persist) and live for the writer's lifetime,
-  taking work over a condition variable instead of paying a
-  ``threading.Thread`` spawn/join per persist call.  Concurrent
-  ``persist`` calls (one per in-flight checkpoint pipeline) interleave
-  their shares on the same pool; each call tracks its own completion.
+  the first submission) and live for the writer's lifetime, taking work
+  over a condition variable instead of paying a ``threading.Thread``
+  spawn/join per persist.  Concurrent submissions (one per in-flight
+  checkpoint pipeline) interleave their shares on the same pool; each
+  batch tracks its own completion.
 
 Writer threads propagate exceptions (including injected crashes) to the
-calling ``persist``, so a power-loss mid-persist kills the checkpoint
-exactly as it would in the real system — a worker survives the exception
-and stays available for later work (the device, not the pool, is what
-died).
+reaping caller, so a power-loss mid-persist kills the checkpoint exactly
+as it would in the real system — a worker survives the exception and
+stays available for later work (the device, not the pool, is what died).
 
-:meth:`ParallelWriter.persist_many` persists a batch of scattered pieces
-with ONE fence per batch in ``single`` mode (the orchestrator's
-consecutive-chunk layout makes the covering range tight), instead of the
-fence-per-piece amplification the naive loop pays.
-
-Submission is split io_uring-style into :meth:`ParallelWriter.submit`
-(queue ALL shares of a batch to the pool under one lock acquisition,
-return immediately) and :meth:`ParallelWriter.reap` (one wait for the
-whole batch, then one covering fence).  ``persist``/``persist_many`` are
-submit+reap back to back; the engine uses the split form to overlap CRC
-compute of chunk *k* with the device writes of chunk *k−1*.
+Persisting is split io_uring-style into :meth:`ParallelWriter.submit`
+(queue ALL shares of a batch of ``(offset, payload)`` pieces to the pool
+under one lock acquisition, return immediately) and
+:meth:`ParallelWriter.reap` (one wait for the whole batch, then in
+``single`` mode ONE fence covering the batch — the orchestrator's
+consecutive-chunk layout makes that range tight).
+``reap(submit(pieces))`` is the blocking persist; the engine keeps the
+two apart to overlap CRC compute of chunk *k* with the device writes of
+chunk *k−1*.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ def split_range(
 
 
 class _PersistBatch:
-    """Completion tracker for one ``persist``/``persist_many`` call.
+    """Completion tracker for one :meth:`ParallelWriter.submit` batch.
 
     Shares from many concurrent batches interleave on the pool; each
     batch counts down its own outstanding shares and collects the errors
@@ -233,65 +230,31 @@ class ParallelWriter:
 
     @property
     def pool_size(self) -> int:
-        """Live pooled workers (0 until the first multi-share persist)."""
+        """Live pooled workers (0 until the first submission)."""
         with self._work:
             return len(self._workers)
 
     @property
     def closed(self) -> bool:
-        """True after :meth:`close`; persists then run inline."""
+        """True after :meth:`close`; batches then run inline at reap."""
         with self._work:
             return self._closed
 
     # ------------------------------------------------------------------
     # persist API
 
-    def persist(self, offset: int, payload: Buffer) -> None:
-        """Durably write ``payload`` at ``offset``.
-
-        Splits the payload across the writer threads; on return every byte
-        is persisted (each thread fenced its range, or the caller's single
-        barrier covered all of them).  Any thread failure is re-raised.
-        ``payload`` may be any C-contiguous buffer — shares are memoryview
-        slices, never copies.
-        """
-        view = as_view(payload)
-        length = len(view)
-        shares = split_range(length, self._num_threads, self._share_align)
-        if not shares:
-            return
-        per_thread = self._fence_mode == "per-thread"
-        if len(shares) == 1:
-            # Single share: no hand-off overhead, same semantics.
-            self._write_share(offset, view, shares[0], fence=per_thread)
-            if self._fence_mode == "single":
-                self._device.persist(offset, length)
-            self._count(length)
-            return
-        self.reap(self.submit([(offset, view)]))
-
-    def persist_many(self, pieces: Sequence[Tuple[int, Buffer]]) -> None:
-        """Persist several ``(offset, payload)`` pieces as one batch.
-
-        All pieces' shares go to the pool together under ONE lock
-        acquisition (:meth:`submit`); in ``single`` fence mode the batch
-        is covered by ONE fence spanning the pieces (they land at
-        consecutive device offsets in the orchestrator's layout, §3.1),
-        instead of one fence per piece.  ``per-thread`` mode is
-        unchanged: every share fences its own range, as PMEM requires.
-        """
-        self.reap(self.submit(pieces))
-
     def submit(
         self, pieces: Sequence[Tuple[int, Buffer]]
     ) -> PersistSubmission:
         """Queue a batch of ``(offset, payload)`` pieces to the pool.
 
-        Every share of every piece is enqueued under a single lock
-        acquisition with a single ``notify_all`` — io_uring-style batched
-        submission instead of one wakeup per piece.  Returns immediately
-        with a :class:`PersistSubmission`; nothing is durable (and errors
-        are not observable) until :meth:`reap`.
+        Each payload may be any C-contiguous buffer; it is split into up
+        to ``p`` memoryview shares, never copied, and empty pieces are
+        dropped.  Every share of every piece is enqueued under a single
+        lock acquisition with a single ``notify_all`` — io_uring-style
+        batched submission instead of one wakeup per piece.  Returns
+        immediately with a :class:`PersistSubmission`; nothing is durable
+        (and errors are not observable) until :meth:`reap`.
         """
         views = [(piece_offset, as_view(data)) for piece_offset, data in pieces]
         views = [(piece_offset, v) for piece_offset, v in views if len(v)]
@@ -331,8 +294,10 @@ class ParallelWriter:
 
         Blocks until every share settled, re-raises the first share
         failure, then (in ``single`` fence mode) issues ONE fence over
-        the batch's covering span.  Idempotent — reaping twice is a
-        no-op, so error-path cleanup can reap defensively.
+        the batch's covering span; in ``per-thread`` mode every share
+        already fenced its own range, as PMEM requires.  Idempotent —
+        reaping twice is a no-op, so error-path cleanup can reap
+        defensively.
         """
         if submission.reaped:
             return
@@ -360,10 +325,10 @@ class ParallelWriter:
         """Shut the worker pool down (idempotent).
 
         Workers drain any queued shares, then exit and are joined.
-        Persist calls arriving afterwards still work — they execute
-        inline in the caller's thread with identical fence semantics —
-        so in-flight checkpoint tickets can finish after the engine
-        closed, exactly as before the pool existed.
+        Batches submitted afterwards still work — :meth:`reap` writes
+        them inline in the caller's thread with identical fence
+        semantics — so in-flight checkpoint tickets can finish after the
+        engine closed.
         """
         with self._work:
             if self._closed:
@@ -432,15 +397,3 @@ class ParallelWriter:
         with self._work:
             self.bytes_persisted += nbytes
 
-
-def persist_scattered(
-    writer: ParallelWriter, pieces: Sequence[Tuple[int, Buffer]]
-) -> None:
-    """Persist several (offset, payload) pieces through one writer.
-
-    The orchestrator ensures chunks scattered across DRAM land at
-    consecutive device offsets (§3.1); this helper persists such a chunk
-    list as one batch — in ``single`` fence mode that means one fence for
-    the whole batch rather than one per piece.
-    """
-    writer.persist_many(pieces)

@@ -1,13 +1,13 @@
 """Persist-path benchmark behind ``make bench-persist``.
 
-Compares the batched pooled persist path (``persist_many``: every share
-of the batch queued to the pool under one lock acquisition, reaped with
-one wait and one covering fence) against a faithful reproduction of the
-legacy path (fresh ``threading.Thread`` per persist call, a
-``bytes(payload)`` materialization up front, per-share ``payload[lo:hi]``
-slice copies, and one fence per piece — exactly what the writer did
-before the pool) for 1/2/4 writer threads on the simulated SSD and PMEM
-devices.  Neither device throttles bandwidth in the matrix, so that
+Compares the batched pooled persist path (``reap(submit(pieces))``:
+every share of the batch queued to the pool under one lock acquisition,
+reaped with one wait and one covering fence) against a faithful
+reproduction of the legacy path (fresh ``threading.Thread`` per persist
+call, a ``bytes(payload)`` materialization up front, per-share
+``payload[lo:hi]`` slice copies, and one fence per piece — exactly what
+the writer did before the pool) for 1/2/4 writer threads on the
+simulated SSD and PMEM devices.  Neither device throttles bandwidth in the matrix, so that
 measurement isolates the Python-side cost the optimization removed:
 copies, thread churn, and per-piece locking/fencing.
 
@@ -32,8 +32,8 @@ Also runs the full checkpoint pipeline once and reads the
 performs exactly one staging copy per checkpoint (copies-per-checkpoint
 <= 1x the payload) — and reports ``pccheck_pipeline_overlap_seconds_total``,
 the CRC/persist overlap the submit/reap pipeline buys.  Fence counts for
-a scattered chunk batch show the ``persist_many`` coalescing (one fence
-per batch in ``single`` mode instead of one per piece).
+a scattered chunk batch show the ``submit``/``reap`` coalescing (one
+fence per batch in ``single`` mode instead of one per piece).
 
 Gates failing the run (non-zero exit):
 
@@ -97,7 +97,7 @@ class _LegacyWriter:
     Spawns fresh writer threads on every call, materializes the payload
     as ``bytes`` up front (the old ``BytesSource(bytes(state))`` cast),
     and hands each thread a ``payload[lo:hi]`` slice — a copy of its
-    share.  ``persist_scattered`` loops ``persist`` per piece, paying one
+    share.  ``persist_each`` loops ``persist`` per piece, paying one
     fence per piece in ``single`` mode.
     """
 
@@ -136,7 +136,7 @@ class _LegacyWriter:
         with self._lock:
             self.bytes_persisted += len(payload)
 
-    def persist_scattered(self, pieces):
+    def persist_each(self, pieces):
         for offset, payload in pieces:
             self.persist(offset, payload)
 
@@ -178,6 +178,14 @@ class _ChannelBoundSSD(InMemorySSD):
             time.sleep(len(payload) / self._channel_bandwidth)  # pclint: disable=PC001
 
 
+def _persist_batch(writer, pieces) -> None:
+    """One scattered batch through either path."""
+    if isinstance(writer, _LegacyWriter):
+        writer.persist_each(pieces)
+    else:
+        writer.reap(writer.submit(pieces))
+
+
 def _make_device(kind: str, capacity: int):
     if kind == "pmem":
         return SimulatedPMEM(capacity)
@@ -205,10 +213,7 @@ def _time_batched(
     try:
         start = time.perf_counter()
         for _ in range(batches):
-            if hasattr(writer, "persist_many"):
-                writer.persist_many(pieces)
-            else:
-                writer.persist_scattered(pieces)
+            _persist_batch(writer, pieces)
         return time.perf_counter() - start
     finally:
         writer.close()
@@ -261,7 +266,7 @@ def _scaling_block(payload: memoryview, persists: int, rounds: int) -> dict:
             try:
                 start = time.perf_counter()
                 for _ in range(persists):
-                    writer.persist(0, payload)
+                    writer.reap(writer.submit([(0, payload)]))
                 best = min(best, time.perf_counter() - start)
             finally:
                 writer.close()
@@ -314,7 +319,7 @@ def _striped_block(payload: memoryview, persists: int, rounds: int) -> dict:
             try:
                 start = time.perf_counter()
                 for _ in range(persists):
-                    writer.persist(0, payload)
+                    writer.reap(writer.submit([(0, payload)]))
                 best[label] = min(best[label], time.perf_counter() - start)
             finally:
                 writer.close()
@@ -353,10 +358,7 @@ def _fence_counts(
         device = _make_device(device_kind, len(payload))
         writer = factory(device, num_threads=2)
         before = device.stats.persist_ops
-        if label == "legacy":
-            writer.persist_scattered(pieces)
-        else:
-            writer.persist_many(pieces)
+        _persist_batch(writer, pieces)
         counts[label] = device.stats.persist_ops - before
         writer.close()
         device.close()

@@ -26,7 +26,6 @@ from repro.storage.striped import (
     STRIPE_HEADER_SIZE,
     StripedDevice,
     StripeManifest,
-    persist_striped,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "SimulatedPMEM",
     "StripeManifest",
     "StripedDevice",
-    "persist_striped",
 ]

@@ -22,8 +22,9 @@ Reads gather member extents through the same zero-copy
 :func:`~repro.core.reshard.gather_slices` kernel elastic recovery uses
 (a stripe member is just a writer rank whose shard happens to
 interleave).  ``persist`` issues one *covering* fence per member — in
-parallel when more than one member owns bytes of the range — which is
-the fence shape :func:`persist_striped` models for the lint rules.
+parallel when more than one member owns bytes of the range — so a
+:class:`~repro.core.writer.ParallelWriter` batch reaped over a striped
+device costs one fence per member, not one per piece.
 
 Layout of each member device::
 
@@ -390,18 +391,3 @@ class StripedDevice(PersistentDevice):
                 member.close()
         super().close()
 
-
-def persist_striped(
-    writer, pieces: Sequence[Tuple[int, Buffer]]
-) -> None:
-    """Persist one checkpoint's ``(offset, payload)`` pieces across a
-    striped device.
-
-    One batched submission through ``writer`` (a
-    :class:`~repro.core.writer.ParallelWriter` over a
-    :class:`StripedDevice`), then the covering fence fans out as one
-    fence per member device.  Like ``persist_many``, this is a full
-    durability barrier for everything it wrote — the static fence-
-    coverage rules (PC004/PC010) treat it exactly that way.
-    """
-    writer.persist_many(pieces)

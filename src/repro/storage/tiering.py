@@ -304,23 +304,18 @@ class TierPolicy:
         slot = meta.counter % layout.num_slots
         warm_meta = dataclasses.replace(meta, slot=slot)
         try:
-            # Payload durable first (submit/reap batch over the demote
-            # writer pool), then the header, then — only for a counter
-            # newer than the warm record — the commit record.  Power
-            # loss between any two steps leaves the warm region's
+            # One submit/reap batch each over the demote writer pool:
+            # payload durable first, then the header, then — only for a
+            # counter newer than the warm record — the commit record.
+            # Power loss between any two steps leaves the warm region's
             # previous checkpoint intact and recoverable.
-            self._writer.reap(
-                self._writer.submit(
-                    [(layout.payload_offset(slot), payload)]
-                )
-            )
-            self._writer.persist(
-                layout.slot_offset(slot), encode_slot_header(warm_meta)
-            )
+            writer = self._writer
+            header = encode_slot_header(warm_meta)
+            writer.reap(writer.submit([(layout.payload_offset(slot), payload)]))
+            writer.reap(writer.submit([(layout.slot_offset(slot), header)]))
             if meta.counter > self._warm_committed:
-                self._writer.persist(
-                    layout.commit_offset, encode_commit_record(warm_meta)
-                )
+                record = encode_commit_record(warm_meta)
+                writer.reap(writer.submit([(layout.commit_offset, record)]))
                 self._warm_committed = meta.counter
         except PCcheckError as exc:
             self._count_failure("warm", exc)

@@ -37,7 +37,7 @@ VIOLATIONS = textwrap.dedent(
 
     def leak(engine):
         ticket = engine.begin(step=1)
-        ticket.write_chunk(b"x")
+        ticket.submit_chunk(b"x")
 
 
     def publish(layout, meta):

@@ -208,7 +208,7 @@ class TestPC010InterproceduralFences:
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
 
-    def test_persist_many_batch_counts_as_fence(self, tmp_path):
+    def test_reap_batch_counts_as_fence(self, tmp_path):
         code = """
             def encode_commit_record(meta):
                 return bytes(meta)
@@ -218,16 +218,16 @@ class TestPC010InterproceduralFences:
                 device.write(layout.commit_offset, encode_commit_record(meta))
 
 
-            def flush_batch(device, layout, pending):
+            def flush_batch(device, layout, writer, pending):
                 for meta in pending:
                     stage_commit(device, layout, meta)
-                device.persist_many(pending)
+                writer.reap(writer.submit(pending))
         """
         root = write_tree(tmp_path, {"batch.py": code})
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
 
-    def test_persist_striped_batch_counts_as_fence(self, tmp_path):
+    def test_deferred_reap_counts_as_fence(self, tmp_path):
         code = """
             def encode_commit_record(meta):
                 return bytes(meta)
@@ -237,14 +237,35 @@ class TestPC010InterproceduralFences:
                 device.write(layout.commit_offset, encode_commit_record(meta))
 
 
-            def flush_stripes(device, layout, writer, pending):
+            def flush_deferred(device, layout, writer, pending):
                 for meta in pending:
                     stage_commit(device, layout, meta)
-                persist_striped(writer, pending)
+                submission = writer.submit(pending)
+                writer.reap(submission)
         """
-        root = write_tree(tmp_path, {"stripes.py": code})
+        root = write_tree(tmp_path, {"deferred.py": code})
         diags, _ = lint_paths([root], select={"PC010"})
         assert diags == []
+
+    def test_submit_without_reap_is_flagged(self, tmp_path):
+        code = """
+            def encode_commit_record(meta):
+                return bytes(meta)
+
+
+            def stage_commit(device, layout, meta):
+                device.write(layout.commit_offset, encode_commit_record(meta))
+
+
+            def flush_batch(device, layout, writer, pending):
+                for meta in pending:
+                    stage_commit(device, layout, meta)
+                writer.submit(pending)
+        """
+        root = write_tree(tmp_path, {"batch.py": code})
+        diags, _ = lint_paths([root], select={"PC010"})
+        assert rules_fired(diags) == {"PC010"}
+        assert "flush_batch" in diags[0].message
 
     def test_branch_missing_fence_detected(self, tmp_path):
         code = """

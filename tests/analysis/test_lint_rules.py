@@ -189,7 +189,7 @@ class TestPC003TicketResolution:
             """
             def leak(engine):
                 ticket = engine.begin(step=1)
-                ticket.write_chunk(b"x")
+                ticket.submit_chunk(b"x")
             """,
             select={"PC003"},
         )
@@ -276,7 +276,7 @@ class TestPC003TicketResolution:
             def checkpoint(self, payload):
                 ticket = self.begin()
                 try:
-                    ticket.write_chunk(payload)
+                    ticket.submit_chunk(payload)
                 except BaseException:
                     raise
                 return ticket.commit()

@@ -173,8 +173,8 @@ def test_crash_mid_concurrent_checkpoints():
 
     ticket_a = engine.begin(step=2)
     ticket_b = engine.begin(step=3)
-    ticket_a.write_chunk(payload_for(2)[:100])
-    ticket_b.write_chunk(payload_for(3)[:100])
+    ticket_a.reap(ticket_a.submit_chunk(payload_for(2)[:100]))
+    ticket_b.reap(ticket_b.submit_chunk(payload_for(3)[:100]))
     inner.crash()
     inner.recover()
     recovered = try_recover(DeviceLayout.open(inner))

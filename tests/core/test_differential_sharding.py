@@ -253,7 +253,7 @@ class TestSharding:
         """K replicas each persist one shard through their own engine;
         recovery gathers consistent shards and reassembles."""
         from repro.core.distributed import (
-            CheckpointBarrier,
+            DistributedCoordinator,
             DistributedWorker,
             recover_consistent,
         )
@@ -263,7 +263,7 @@ class TestSharding:
         ).tobytes()
         world = 3
         shards = shard_payload(state, world)
-        barrier = CheckpointBarrier(world)
+        coordinator = DistributedCoordinator(world)
         slot_size = max(len(s) for s in shards) + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -271,7 +271,7 @@ class TestSharding:
             device = InMemorySSD(geometry.total_size)
             layout = DeviceLayout.format(device, num_slots=3,
                                          slot_size=slot_size)
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         import threading
 
         threads = [

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.distributed import (
     CheckpointBarrier,
+    DistributedCoordinator,
     DistributedWorker,
     recover_consistent,
     valid_checkpoints,
@@ -31,12 +32,12 @@ def make_layout(num_slots=3):
 
 
 def make_group(world_size, num_slots=3, timeout=10.0):
-    barrier = CheckpointBarrier(world_size, timeout=timeout)
+    coordinator = DistributedCoordinator(world_size, timeout=timeout)
     workers = [
-        DistributedWorker.create(rank, make_layout(num_slots), barrier)
+        DistributedWorker.create(rank, make_layout(num_slots), coordinator)
         for rank in range(world_size)
     ]
-    return barrier, workers
+    return coordinator, workers
 
 
 def partition_payload(rank, step):
@@ -46,7 +47,7 @@ def partition_payload(rank, step):
 class TestBarrier:
     def test_single_worker_releases_immediately(self):
         barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=5)
+        barrier.arrive(0, step=5).wait()
         assert barrier.peer_check == 5
 
     def test_all_workers_must_arrive(self):
@@ -54,7 +55,7 @@ class TestBarrier:
         order = []
 
         def peer():
-            barrier.synchronize(1, step=1)
+            barrier.arrive(1, step=1).wait()
             order.append("peer-released")
 
         thread = threading.Thread(target=peer)
@@ -63,7 +64,7 @@ class TestBarrier:
 
         time.sleep(0.05)
         assert not order  # peer still waiting
-        barrier.synchronize(0, step=1)
+        barrier.arrive(0, step=1).wait()
         thread.join()
         assert order == ["peer-released"]
         assert barrier.peer_check == 1
@@ -71,23 +72,23 @@ class TestBarrier:
     def test_timeout_raises(self):
         barrier = CheckpointBarrier(2, timeout=0.05)
         with pytest.raises(DistributedError):
-            barrier.synchronize(0, step=1)
+            barrier.arrive(0, step=1).wait()
 
     def test_invalid_rank_rejected(self):
         barrier = CheckpointBarrier(2)
         with pytest.raises(DistributedError):
-            barrier.synchronize(5, step=1)
+            barrier.arrive(5, step=1).wait()
 
     def test_duplicate_report_rejected(self):
         barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=1)
+        barrier.arrive(0, step=1).wait()
         with pytest.raises(DistributedError):
-            barrier.synchronize(0, step=1)
+            barrier.arrive(0, step=1).wait()
 
     def test_independent_rounds(self):
         barrier = CheckpointBarrier(1)
-        barrier.synchronize(0, step=3)
-        barrier.synchronize(0, step=1)  # late round for an older step
+        barrier.arrive(0, step=3).wait()
+        barrier.arrive(0, step=1).wait()  # late round for an older step
         assert barrier.peer_check == 3
 
 
@@ -97,7 +98,7 @@ class TestBarrierRegressions:
     def test_settled_rounds_are_garbage_collected(self):
         barrier = CheckpointBarrier(1, history=4)
         for step in range(1, 21):
-            barrier.synchronize(0, step=step)
+            barrier.arrive(0, step=step).wait()
         assert barrier.peer_check == 20
         assert barrier.in_flight_rounds == 0
         assert barrier.settled_rounds <= 4
@@ -118,7 +119,7 @@ class TestBarrierRegressions:
     def test_timeout_reports_consistent_arrival_count(self):
         barrier = CheckpointBarrier(3, timeout=0.05)
         with pytest.raises(DistributedTimeoutError) as excinfo:
-            barrier.synchronize(0, step=7)
+            barrier.arrive(0, step=7).wait()
         message = str(excinfo.value)
         assert "1 of 3" in message
         assert "[1, 2]" in message
@@ -132,7 +133,7 @@ class TestBarrierRegressions:
         resurrect it or advance peer_check."""
         barrier = CheckpointBarrier(2, timeout=0.05)
         with pytest.raises(DistributedTimeoutError):
-            barrier.synchronize(0, step=1)
+            barrier.arrive(0, step=1).wait()
         handle = barrier.arrive(1, step=1)
         assert handle.settled
         with pytest.raises(DistributedTimeoutError):
@@ -159,7 +160,7 @@ class TestBarrierRegressions:
 
         def wait_rank(rank):
             try:
-                barrier.synchronize(rank, step=1)
+                barrier.arrive(rank, step=1).wait()
             except DistributedError as exc:
                 errors.append(str(exc))
 
@@ -177,7 +178,7 @@ class TestBarrierRegressions:
 
     def test_round_metrics_recorded(self):
         barrier = CheckpointBarrier(1, timeout=0.05)
-        barrier.synchronize(0, step=1)
+        barrier.arrive(0, step=1).wait()
         with pytest.raises(DistributedError):
             barrier.arrive(0, step=1)  # duplicate, not a new round
         metrics = barrier.metrics
@@ -211,9 +212,9 @@ class TestDistributedCheckpointing:
     def test_straggler_keeps_previous_step_recoverable(self):
         """If one worker never commits step 2, the group must recover
         step 1 — the old slots were held across the barrier."""
-        barrier = CheckpointBarrier(2, timeout=0.2)
+        coordinator = DistributedCoordinator(2, timeout=0.2)
         workers = [
-            DistributedWorker.create(rank, make_layout(), barrier)
+            DistributedWorker.create(rank, make_layout(), coordinator)
             for rank in range(2)
         ]
         # Step 1 commits in lockstep.
@@ -247,11 +248,15 @@ class TestDistributedCheckpointing:
     def test_recovery_with_no_common_step_raises(self):
         layout_a = make_layout()
         layout_b = make_layout()
-        barrier = CheckpointBarrier(1)
-        worker_a = DistributedWorker.create(0, layout_a, barrier)
+        coordinator = DistributedCoordinator(1)
+        worker_a = DistributedWorker.create(0, layout_a, coordinator)
         worker_a.checkpoint(b"only-a", 1)
         with pytest.raises(NoCheckpointError):
             recover_consistent([layout_a, layout_b])
+
+    def test_group_must_be_a_coordinator(self):
+        with pytest.raises(DistributedError, match="CheckpointBarrier"):
+            DistributedWorker.create(0, make_layout(), CheckpointBarrier(1))
 
     def test_recovery_needs_layouts(self):
         with pytest.raises(DistributedError):

@@ -72,11 +72,11 @@ class TestSingleCheckpoint:
     def test_inflight_ticket_finishes_after_close(self):
         engine = make_engine()
         ticket = engine.begin(step=5)
-        ticket.write_chunk(b"first half ")
+        ticket.reap(ticket.submit_chunk(b"first half "))
         engine.close()
         # The pool is gone, but the ticket's remaining writes run inline
         # with the same fence discipline and the commit still lands.
-        ticket.write_chunk(b"second half")
+        ticket.reap(ticket.submit_chunk(b"second half"))
         result = ticket.commit()
         assert result.committed
         assert recover(engine.layout).payload == b"first half second half"
@@ -105,7 +105,7 @@ class TestTicketStreaming:
         engine = make_engine()
         ticket = engine.begin(step=5)
         for chunk in (b"aaa", b"bbbb", b"cc"):
-            ticket.write_chunk(chunk)
+            ticket.reap(ticket.submit_chunk(chunk))
         result = ticket.commit()
         assert result.committed
         assert result.payload_len == 9
@@ -114,7 +114,7 @@ class TestTicketStreaming:
     def test_abort_recycles_slot(self):
         engine = make_engine(num_slots=2)  # N=1: a leak would deadlock
         ticket = engine.begin()
-        ticket.write_chunk(b"partial")
+        ticket.reap(ticket.submit_chunk(b"partial"))
         ticket.abort()
         # The slot must be reusable immediately.
         assert engine.checkpoint(b"next").committed
@@ -122,7 +122,7 @@ class TestTicketStreaming:
     def test_double_commit_rejected(self):
         engine = make_engine()
         ticket = engine.begin()
-        ticket.write_chunk(b"x")
+        ticket.reap(ticket.submit_chunk(b"x"))
         ticket.commit()
         with pytest.raises(EngineError):
             ticket.commit()
@@ -132,7 +132,7 @@ class TestTicketStreaming:
         ticket = engine.begin()
         ticket.commit()
         with pytest.raises(EngineError):
-            ticket.write_chunk(b"late")
+            ticket.reap(ticket.submit_chunk(b"late"))
 
     def test_abort_is_idempotent(self):
         engine = make_engine()
@@ -143,9 +143,9 @@ class TestTicketStreaming:
     def test_streaming_respects_capacity(self):
         engine = make_engine(payload_capacity=100)
         ticket = engine.begin()
-        ticket.write_chunk(b"x" * 60)
+        ticket.reap(ticket.submit_chunk(b"x" * 60))
         with pytest.raises(OutOfSpaceError):
-            ticket.write_chunk(b"x" * 60)
+            ticket.reap(ticket.submit_chunk(b"x" * 60))
 
 
 class TestConcurrency:
@@ -154,9 +154,9 @@ class TestConcurrency:
         engine = make_engine(num_slots=3)
         old_ticket = engine.begin(step=1)  # counter 1
         new_ticket = engine.begin(step=2)  # counter 2
-        new_ticket.write_chunk(b"new")
+        new_ticket.reap(new_ticket.submit_chunk(b"new"))
         assert new_ticket.commit().committed
-        old_ticket.write_chunk(b"old")
+        old_ticket.reap(old_ticket.submit_chunk(b"old"))
         result = old_ticket.commit()
         assert not result.committed  # superseded
         assert recover(engine.layout).payload == b"new"
@@ -171,7 +171,7 @@ class TestConcurrency:
         # dedicated slots: use num_slots=2 -> only 1 free slot... begin
         # again after committing the old ticket's rival is impossible;
         # instead verify recycle by checkpointing after a supersede.
-        old_ticket.write_chunk(b"old")
+        old_ticket.reap(old_ticket.submit_chunk(b"old"))
         assert old_ticket.commit().committed
         assert engine.checkpoint(b"newer", step=2).committed
         assert engine.checkpoint(b"newest", step=3).committed

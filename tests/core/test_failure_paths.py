@@ -13,10 +13,15 @@ Three bugs, three tests that failed before their fix:
 3. ``try_recover()`` dropped its ``max_attempts`` argument instead of
    forwarding it to ``recover()``, and ``begin()``'s slot-wait error
    rendered ``"within None seconds"`` when no timeout was given.
+
+A fourth regression: a non-crash error inside ``CheckpointTicket.commit``
+(a faulted slot-header write or fence) leaked the ticket's slot, so two
+such faults left no free slot and every later ``begin()`` blocked.
 """
 
 import pytest
 
+from repro import open_checkpointer
 from repro.core.engine import CheckpointEngine
 from repro.core.freelist import EMPTY
 from repro.core.layout import DeviceLayout, Geometry
@@ -30,9 +35,11 @@ from repro.errors import (
     NoCheckpointError,
     OutOfSpaceError,
     SlotWaitTimeout,
+    TransientIOError,
 )
+from repro.obs.metrics import M
 from repro.storage.dram import DRAMBufferPool
-from repro.storage.faults import CrashPointDevice
+from repro.storage.faults import CrashPointDevice, TransientFaultDevice
 from repro.storage.ssd import InMemorySSD
 
 NUM_SLOTS = 3
@@ -83,6 +90,57 @@ class TestCheckpointSlotConservation:
         with pytest.raises(CrashedDeviceError):
             engine.checkpoint(b"z" * 64, step=1)
         assert engine.free_slots == NUM_SLOTS - 1
+
+
+class _HeaderFault(TransientFaultDevice):
+    """Fails the first ``kind`` op aimed at a slot header, once armed by
+    setting ``header_offsets`` (so formatting the region is unaffected)."""
+
+    def __init__(self, inner, kind):
+        super().__init__(inner, kind=kind)
+        self.header_offsets = frozenset()
+
+    def arm(self, layout):
+        self.header_offsets = frozenset(
+            layout.slot_offset(slot) for slot in range(layout.num_slots)
+        )
+
+    def _gate(self, kind, offset, length):
+        if offset in self.header_offsets:
+            super()._gate(kind, offset, length)
+
+
+@pytest.mark.parametrize("kind", ["write", "persist"])
+class TestCommitErrorSlotConservation:
+    """Regression: ``commit()`` marked the ticket done before writing the
+    slot header, so a transient header fault left the slot owned by no
+    one — neither ``checkpoint()`` nor the orchestrator could abort it."""
+
+    def test_engine_checkpoint_recycles_the_slot(self, kind):
+        geometry = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE)
+        device = _HeaderFault(InMemorySSD(geometry.total_size), kind)
+        engine = build_engine(device=device)
+        device.arm(engine.layout)
+        with pytest.raises(TransientIOError):
+            engine.checkpoint(b"h" * 64, step=1)
+        assert device.faults_injected == 1
+        assert engine.free_slots == NUM_SLOTS
+        assert engine.metrics.value(M.ABORTED) == 1
+        assert engine.checkpoint(b"n" * 64, step=2).committed
+        assert engine.free_slots == NUM_SLOTS - 1
+        assert recover(engine.layout).payload == b"n" * 64
+
+    def test_open_checkpointer_recycles_the_slot(self, kind):
+        device = _HeaderFault(InMemorySSD(4 << 20), kind)
+        with open_checkpointer(device=device, capacity_bytes=4096) as ckpt:
+            layout = ckpt.layout
+            device.arm(layout)
+            with pytest.raises(TransientIOError):
+                ckpt.checkpoint(b"h" * 64, step=1)
+            assert device.faults_injected == 1
+            assert ckpt.checkpoint(b"n" * 64, step=2).committed
+            assert ckpt.engine.free_slots == layout.num_slots - 1
+            assert ckpt.latest().step == 2
 
 
 class TestOrchestratorFailurePaths:

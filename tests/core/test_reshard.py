@@ -265,10 +265,10 @@ class TestElasticRecovery:
     """`recover_consistent(..., world_size=M)` end to end."""
 
     def run_world(self, state, world, step=1):
-        from repro.core.distributed import CheckpointBarrier, DistributedWorker
+        from repro.core.distributed import DistributedCoordinator, DistributedWorker
 
         shards = shard_payload(state, world)
-        barrier = CheckpointBarrier(world)
+        coordinator = DistributedCoordinator(world)
         slot_size = max(len(s) for s in shards) + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -277,7 +277,7 @@ class TestElasticRecovery:
             layout = DeviceLayout.format(
                 device, num_slots=3, slot_size=slot_size
             )
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         threads = [
             threading.Thread(
                 target=worker.checkpoint, args=(shards[worker.rank], step)
@@ -326,13 +326,13 @@ class TestElasticRecovery:
 
     def test_non_sharded_payloads_rejected(self):
         from repro.core.distributed import (
-            CheckpointBarrier,
+            DistributedCoordinator,
             DistributedWorker,
             recover_consistent,
         )
         from repro.errors import DistributedError
 
-        barrier = CheckpointBarrier(2)
+        coordinator = DistributedCoordinator(2)
         slot_size = 128 + RECORD_SIZE
         geometry = Geometry(num_slots=3, slot_size=slot_size)
         workers = []
@@ -341,7 +341,7 @@ class TestElasticRecovery:
             layout = DeviceLayout.format(
                 device, num_slots=3, slot_size=slot_size
             )
-            workers.append(DistributedWorker.create(rank, layout, barrier))
+            workers.append(DistributedWorker.create(rank, layout, coordinator))
         threads = [
             threading.Thread(
                 target=worker.checkpoint,

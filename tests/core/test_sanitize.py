@@ -72,9 +72,9 @@ class TestCleanRuns:
         engine = make_engine()
         old = engine.begin(step=1)
         new = engine.begin(step=2)
-        new.write_chunk(b"new")
+        new.reap(new.submit_chunk(b"new"))
         assert new.commit().committed
-        old.write_chunk(b"old")
+        old.reap(old.submit_chunk(b"old"))
         assert not old.commit().committed
 
     def test_concurrent_checkpoints(self):

@@ -97,7 +97,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.step += 1
         ticket = self.engine.begin(step=self.step)
         for chunk in chunks:
-            ticket.write_chunk(chunk)
+            ticket.reap(ticket.submit_chunk(chunk))
         result = ticket.commit()
         assert result.committed
         self.committed_payload = b"".join(chunks)
@@ -107,7 +107,7 @@ class EngineMachine(RuleBasedStateMachine):
     def abort_a_ticket(self):
         self.step += 1
         ticket = self.engine.begin(step=self.step)
-        ticket.write_chunk(b"partial-data-never-committed")
+        ticket.reap(ticket.submit_chunk(b"partial-data-never-committed"))
         ticket.abort()
 
     @rule()

@@ -10,6 +10,11 @@ from repro.storage.pmem import SimulatedPMEM
 from repro.storage.ssd import InMemorySSD
 
 
+def persist(writer, offset, payload):
+    """Blocking persist of one piece: one submit, one reap."""
+    writer.reap(writer.submit([(offset, payload)]))
+
+
 class TestSplitRange:
     def test_even_split(self):
         assert split_range(12, 3) == [(0, 4), (4, 8), (8, 12)]
@@ -60,7 +65,7 @@ class TestParallelWriter:
         device = InMemorySSD(capacity=1 << 16)
         writer = ParallelWriter(device, num_threads=threads)
         payload = bytes(range(256)) * 64
-        writer.persist(128, payload)
+        persist(writer, 128, payload)
         device.crash()
         device.recover()
         assert device.read(128, len(payload)) == payload
@@ -70,7 +75,7 @@ class TestParallelWriter:
         device = SimulatedPMEM(capacity=1 << 16)
         writer = ParallelWriter(device, num_threads=threads)
         payload = b"\xab" * 10_000
-        writer.persist(0, payload)
+        persist(writer, 0, payload)
         device.crash()
         device.recover()
         assert device.read(0, len(payload)) == payload
@@ -78,27 +83,27 @@ class TestParallelWriter:
     def test_pmem_uses_per_thread_fences(self):
         device = SimulatedPMEM(capacity=1 << 16)
         writer = ParallelWriter(device, num_threads=4)
-        writer.persist(0, b"x" * 4096)
+        persist(writer, 0, b"x" * 4096)
         # Per-thread fencing issues one sfence per share.
         assert device.stats.persist_ops == 4
 
     def test_ssd_uses_single_msync_for_multithread_write(self):
         device = InMemorySSD(capacity=1 << 16)
         writer = ParallelWriter(device, num_threads=4)
-        writer.persist(0, b"x" * 4096)
+        persist(writer, 0, b"x" * 4096)
         assert device.stats.persist_ops == 1
 
     def test_empty_payload_is_noop(self):
         device = InMemorySSD(capacity=1024)
         writer = ParallelWriter(device, num_threads=3)
-        writer.persist(0, b"")
+        persist(writer, 0, b"")
         assert device.stats.write_ops == 0
 
     def test_bytes_persisted_accounting(self):
         device = InMemorySSD(capacity=1 << 16)
         writer = ParallelWriter(device, num_threads=2)
-        writer.persist(0, b"a" * 100)
-        writer.persist(200, b"b" * 50)
+        persist(writer, 0, b"a" * 100)
+        persist(writer, 200, b"b" * 50)
         assert writer.bytes_persisted == 150
 
     def test_thread_exception_propagates(self):
@@ -106,7 +111,7 @@ class TestParallelWriter:
         device.crash()
         writer = ParallelWriter(device, num_threads=3)
         with pytest.raises(Exception):
-            writer.persist(0, b"x" * 300)
+            persist(writer, 0, b"x" * 300)
 
     def test_zero_threads_rejected(self):
         with pytest.raises(EngineError):
@@ -121,7 +126,7 @@ class TestParallelWriter:
     def test_any_payload_any_threads_roundtrip(self, payload, threads, offset):
         device = InMemorySSD(capacity=8192)
         writer = ParallelWriter(device, num_threads=threads)
-        writer.persist(offset, payload)
+        persist(writer, offset, payload)
         device.crash()
         device.recover()
         assert device.read(offset, len(payload)) == payload

@@ -1,11 +1,11 @@
 """The persistent writer pool: reuse, shutdown, crash propagation, and
-the fence-coalescing contract of ``persist_scattered``."""
+the fence-coalescing contract of a ``submit``/``reap`` batch."""
 
 import threading
 
 import pytest
 
-from repro.core.writer import ParallelWriter, persist_scattered
+from repro.core.writer import ParallelWriter
 from repro.errors import CrashedDeviceError, TransientIOError
 from repro.storage.faults import (
     CrashBudgetExhausted,
@@ -20,6 +20,9 @@ from repro.storage.ssd import InMemorySSD
 CAPACITY = 1 << 16
 
 
+def persist(writer, offset, payload):
+    """Blocking persist of one piece: one submit, one reap."""
+    writer.reap(writer.submit([(offset, payload)]))
 
 
 class TestPoolReuse:
@@ -28,7 +31,7 @@ class TestPoolReuse:
         writer = ParallelWriter(device, num_threads=4)
         payload = bytes(range(256)) * 16
         for _ in range(100):
-            writer.persist(0, payload)
+            persist(writer, 0, payload)
         assert writer.threads_started == 4
         assert writer.pool_size == 4
         assert writer.bytes_persisted == 100 * len(payload)
@@ -38,9 +41,7 @@ class TestPoolReuse:
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=4)
         assert writer.pool_size == 0
-        writer.persist(0, b"x")  # single share: stays inline
-        assert writer.pool_size == 0
-        writer.persist(0, bytes(4096))
+        persist(writer, 0, bytes(4096))
         assert writer.pool_size == 4
         writer.close()
 
@@ -52,7 +53,7 @@ class TestPoolReuse:
 
         def one(index):
             try:
-                writer.persist(index * 2048, payloads[index])
+                persist(writer, index * 2048, payloads[index])
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -72,7 +73,7 @@ class TestPoolShutdown:
     def test_close_joins_workers(self):
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=3)
-        writer.persist(0, bytes(4096))
+        persist(writer, 0, bytes(4096))
         workers = list(writer._workers)
         assert len(workers) == 3
         assert all(worker.is_alive() for worker in workers)
@@ -83,17 +84,17 @@ class TestPoolShutdown:
 
     def test_close_is_idempotent(self):
         writer = ParallelWriter(InMemorySSD(CAPACITY), num_threads=2)
-        writer.persist(0, bytes(1024))
+        persist(writer, 0, bytes(1024))
         writer.close()
         writer.close()
 
     def test_persist_after_close_runs_inline(self):
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=4)
-        writer.persist(0, bytes(1024))
+        persist(writer, 0, bytes(1024))
         writer.close()
         payload = bytes([7]) * 4096
-        writer.persist(0, payload)
+        persist(writer, 0, payload)
         assert writer.threads_started == 4  # no respawn
         assert device.read(0, 4096) == payload
         assert device.durable_snapshot()[:4096] == payload
@@ -101,7 +102,7 @@ class TestPoolShutdown:
     def test_context_manager_closes(self):
         device = InMemorySSD(CAPACITY)
         with ParallelWriter(device, num_threads=2) as writer:
-            writer.persist(0, bytes(2048))
+            persist(writer, 0, bytes(2048))
         assert writer.closed
 
 
@@ -111,7 +112,7 @@ class TestCrashPropagation:
         device = CrashPointDevice(inner, schedule=OpCountSchedule(2))
         writer = ParallelWriter(device, num_threads=4)
         with pytest.raises(CrashedDeviceError):
-            writer.persist(0, bytes(8192))
+            persist(writer, 0, bytes(8192))
 
     def test_workers_survive_the_crash_exception(self):
         inner = InMemorySSD(CAPACITY)
@@ -122,12 +123,12 @@ class TestCrashPropagation:
         )
         writer = ParallelWriter(device, num_threads=4)
         with pytest.raises(CrashBudgetExhausted):
-            writer.persist(0, bytes(8192))
+            persist(writer, 0, bytes(8192))
         # The device died, not the pool: after recovery the same writer
         # (same threads) persists successfully.
         inner.recover()
         payload = bytes([3]) * 8192
-        writer.persist(0, payload)
+        persist(writer, 0, payload)
         assert writer.threads_started == 4
         assert inner.read(0, 8192) == payload
         writer.close()
@@ -137,7 +138,7 @@ class TestCrashPropagation:
         device = CrashPointDevice(inner, schedule=OpCountSchedule(0))
         writer = ParallelWriter(device, num_threads=2)
         with pytest.raises(CrashedDeviceError):
-            writer.persist(0, bytes(4096))
+            persist(writer, 0, bytes(4096))
         assert writer.bytes_persisted == 0
         writer.close()
 
@@ -147,8 +148,8 @@ class TestCrashPropagation:
         writer = ParallelWriter(device, num_threads=2)
         payload = bytes([9]) * 4096
         with pytest.raises(TransientIOError):
-            writer.persist(0, payload)
-        writer.persist(0, payload)
+            persist(writer, 0, payload)
+        persist(writer, 0, payload)
         assert device.inner.read(0, 4096) == payload
         writer.close()
 
@@ -159,7 +160,7 @@ class TestFenceCoalescing:
         writer = ParallelWriter(device, num_threads=2, fence_mode="single")
         pieces = [(i * 1024, bytes([i]) * 1024) for i in range(8)]
         before = device.stats.persist_ops
-        persist_scattered(writer, pieces)
+        writer.reap(writer.submit(pieces))
         assert device.stats.persist_ops - before == 1
         for offset, payload in pieces:
             assert device.read(offset, 1024) == payload
@@ -172,7 +173,7 @@ class TestFenceCoalescing:
         assert writer.fence_mode == "per-thread"
         pieces = [(0, bytes(2048)), (2048, bytes(2048))]
         before = device.stats.persist_ops
-        persist_scattered(writer, pieces)
+        writer.reap(writer.submit(pieces))
         # Two pieces x two shares: every share fences its own range.
         assert device.stats.persist_ops - before == 4
         assert device.unpersisted_bytes == 0
@@ -182,7 +183,7 @@ class TestFenceCoalescing:
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=2)
         before = device.stats.persist_ops
-        persist_scattered(writer, [(0, b""), (128, b"")])
+        writer.reap(writer.submit([(0, b""), (128, b"")]))
         assert device.stats.persist_ops == before
         assert writer.bytes_persisted == 0
         writer.close()
@@ -190,7 +191,7 @@ class TestFenceCoalescing:
     def test_scattered_accounts_total_bytes(self):
         device = InMemorySSD(CAPACITY)
         writer = ParallelWriter(device, num_threads=3)
-        persist_scattered(writer, [(0, bytes(1000)), (1000, bytes(500))])
+        writer.reap(writer.submit([(0, bytes(1000)), (1000, bytes(500))]))
         assert writer.bytes_persisted == 1500
         writer.close()
 
@@ -199,7 +200,7 @@ class TestFenceCoalescing:
         writer = ParallelWriter(device, num_threads=4, fence_mode="single")
         payload = bytes(range(256)) * 8
         before = device.stats.persist_ops
-        persist_scattered(writer, [(64, payload)])
+        writer.reap(writer.submit([(64, payload)]))
         assert device.stats.persist_ops - before == 1
         assert device.read(64, len(payload)) == payload
         writer.close()

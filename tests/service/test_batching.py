@@ -10,6 +10,7 @@ from repro.errors import AdmissionRejected, ServiceError
 from repro.service.batching import CoalescingBatcher, parse_batch
 from repro.service.pool import EnginePool, EngineSpec
 from repro.service.service import ServiceTicket
+from repro.storage.ssd import InMemorySSD
 
 
 def make_pool(persist_bandwidth=None, capacity_bytes=1 << 16, num_chunks=12):
@@ -80,6 +81,36 @@ class TestGroupCommit:
                 with pytest.raises(AdmissionRejected) as excinfo:
                     batcher.register("b", 4096)  # header overhead overflows
                 assert excinfo.value.reason == "capacity"
+            finally:
+                batcher.close()
+
+
+class TestBatchFences:
+    def test_coalesced_batch_costs_three_fences(self):
+        """K tenants' blobs in one batch are one covering payload fence,
+        then the slot-header and commit-record fences: 3 device persist
+        ops per batch however many pieces the batch carries."""
+        device = InMemorySSD(4 << 20)
+        spec = EngineSpec(capacity_bytes=1 << 16, backend="ssd",
+                          num_chunks=12, chunk_size=1 << 16)
+        with EnginePool(spec, size=1, devices=[device]) as pool:
+            batcher = CoalescingBatcher(pool.acquire(tag="batch"),
+                                        window=0.05)
+            try:
+                names = [f"t{index}" for index in range(4)]
+                for name in names:
+                    batcher.register(name, 1024)
+                before = device.stats.persist_ops
+                tickets = []
+                for name in names:
+                    ticket = ticket_for(name, 1, b"x" * 100)
+                    batcher.submit(name, BytesSource(b"x" * 100), 1, ticket)
+                    tickets.append(ticket)
+                for ticket in tickets:
+                    assert ticket.result(timeout=5.0).committed
+                batches = batcher.batches_committed
+                assert 1 <= batches <= len(names)
+                assert device.stats.persist_ops - before == 3 * batches
             finally:
                 batcher.close()
 
