@@ -79,13 +79,16 @@ lint-baseline:
 # Crash-consistency sweep: inject power loss (with torn writes) at every
 # device op of a pipelined orchestrator run and verify the §4.1 recovery
 # guarantee at each point, then repeat for a 3-member striped stripe set
-# (torn stripes, crashes between stripe fences). Exits non-zero on any
-# violation.
+# (torn stripes, crashes between stripe fences) and for interleaved
+# streaming tickets committed in reverse order (the superseded path).
+# Exits non-zero on any violation.
 crashsweep:
 	PYTHONPATH=src python -m repro.cli crashsweep --workload orchestrator \
 		--steps 4 --slots 4 --torn --seed 7
 	PYTHONPATH=src python -m repro.cli crashsweep --workload striped \
 		--steps 3 --torn --seed 7
+	PYTHONPATH=src python -m repro.cli crashsweep --workload streaming \
+		--steps 4 --torn --seed 11
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -57,7 +57,6 @@ from repro.core.orchestrator import CheckpointHandle, PCcheckOrchestrator
 from repro.core.recovery import (
     PersistentIterator,
     RecoveredCheckpoint,
-    find_committed,
     recover,
     try_recover,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "expected_runtime",
     "inspect_device",
     "inspect_file",
-    "find_committed",
     "functional_tw_probe",
     "max_concurrency",
     "min_checkpoint_interval",

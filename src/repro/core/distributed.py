@@ -34,11 +34,11 @@ On top of those, :class:`DistributedWorker` wraps one engine (blocking or
 pipelined per call site), :class:`DistributedOrchestrator` wires the
 coordination into the capture/persist pipeline of
 :class:`~repro.core.orchestrator.PCcheckOrchestrator`, and
-:func:`recover_consistent` performs cross-device recovery: scan every
-worker's slots for valid checkpoints, intersect the step sets, and load
-the newest common step — re-validating every payload's CRC after the
-chunked read, with the same retry semantics as the single-device
-:func:`~repro.core.recovery.recover`.
+:func:`recover_consistent` performs cross-device recovery: read every
+worker's headers, intersect the step sets they name, and load the newest
+common step — each rank's payload read once and CRC-checked by
+:mod:`repro.core.recovery`, a failing rank dropping that step from the
+intersection.
 """
 
 from __future__ import annotations
@@ -51,11 +51,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import CheckpointEngine
 from repro.core.layout import DeviceLayout
-from repro.core.meta import CheckMeta, payload_crc
+from repro.core.meta import CheckMeta
 from repro.core.recovery import (
     DEFAULT_READ_CHUNK,
     PersistentIterator,
-    _from_commit_record,
+    candidates,
+    crc_matches,
+    read_commit_record,
+    read_valid,
 )
 from repro.core.reshard import reshard_shards
 from repro.core.sharding import is_shard
@@ -315,21 +318,6 @@ class CheckpointBarrier:
             self._notify(to_settle.outcome)
         return BarrierRound(self, round_, rank)
 
-    def fail_round(self, step: int, reason: str) -> Optional[RoundOutcome]:
-        """Declare the round for ``step`` failed (if still pending).
-
-        Returns the settled outcome, or ``None`` when no such round is
-        in flight.  Used by the coordinator's watcher and by
-        :meth:`DistributedCoordinator.reform`.
-        """
-        with self._lock:
-            round_ = self._rounds.get(step)
-            if round_ is None or round_.status != ROUND_PENDING:
-                return None
-            self._settle_locked(round_, ROUND_FAILED, reason=reason)
-        self._notify(round_.outcome)
-        return round_.outcome
-
     def fail_all_pending(self, reason: str) -> List[RoundOutcome]:
         """Declare every in-flight round failed, atomically.
 
@@ -339,16 +327,7 @@ class CheckpointBarrier:
         Returns the settled outcomes (listeners are notified outside
         the lock, as always).
         """
-        settled: List[_Round] = []
-        with self._lock:
-            for round_ in list(self._rounds.values()):
-                if round_.status == ROUND_PENDING:
-                    self._settle_locked(round_, ROUND_FAILED, reason=reason)
-                    settled.append(round_)
-        outcomes = [round_.outcome for round_ in settled]
-        for outcome in outcomes:
-            self._notify(outcome)
-        return outcomes
+        return self._fail_pending(lambda _round: True, reason)
 
     def resize(self, world_size: int, reason: str = "the world was resized"
                ) -> List[RoundOutcome]:
@@ -371,12 +350,8 @@ class CheckpointBarrier:
             raise DistributedError(
                 f"world size must be >= 1, got {world_size}"
             )
-        settled: List[_Round] = []
-        with self._lock:
-            for round_ in list(self._rounds.values()):
-                if round_.status == ROUND_PENDING:
-                    self._settle_locked(round_, ROUND_FAILED, reason=reason)
-                    settled.append(round_)
+
+        def install() -> None:
             old = self._world_size
             self._world_size = world_size
             if world_size != old:
@@ -387,10 +362,8 @@ class CheckpointBarrier:
             if world_size < old:
                 self._evicted_ranks.update(range(world_size, old))
             self._evicted_ranks -= set(range(world_size))
-        outcomes = [round_.outcome for round_ in settled]
-        for outcome in outcomes:
-            self._notify(outcome)
-        return outcomes
+
+        return self._fail_pending(lambda _round: True, reason, then=install)
 
     @property
     def evicted_ranks(self) -> Tuple[int, ...]:
@@ -421,20 +394,11 @@ class CheckpointBarrier:
     def expire_overdue(self) -> List[RoundOutcome]:
         """Fail every pending round whose deadline has passed."""
         now = time.monotonic()
-        expired: List[_Round] = []
-        with self._lock:
-            for round_ in list(self._rounds.values()):
-                if round_.deadline is not None and now >= round_.deadline:
-                    self._settle_locked(
-                        round_, ROUND_FAILED,
-                        reason=f"timed out after {self._timeout:g}s",
-                    )
-                    expired.append(round_)
-        outcomes = []
-        for round_ in expired:
-            self._notify(round_.outcome)
-            outcomes.append(round_.outcome)
-        return outcomes
+        return self._fail_pending(
+            lambda round_: round_.deadline is not None
+            and now >= round_.deadline,
+            f"timed out after {self._timeout:g}s",
+        )
 
     def round_outcome(self, step: int) -> Optional[RoundOutcome]:
         """The settled outcome for ``step`` if still remembered."""
@@ -509,6 +473,29 @@ class CheckpointBarrier:
             round_.span = None
         round_.event.set()
 
+    def _fail_pending(
+        self,
+        match: Callable[[_Round], bool],
+        reason: str,
+        then: Optional[Callable[[], None]] = None,
+    ) -> List[RoundOutcome]:
+        """Fail every pending round ``match`` selects, under one lock
+        acquisition that also runs ``then``; notify listeners outside
+        the lock.  Returns the failed rounds' outcomes."""
+        with self._lock:
+            failed = [
+                round_ for round_ in list(self._rounds.values())
+                if round_.status == ROUND_PENDING and match(round_)
+            ]
+            for round_ in failed:
+                self._settle_locked(round_, ROUND_FAILED, reason=reason)
+            if then is not None:
+                then()
+        outcomes = [round_.outcome for round_ in failed]
+        for outcome in outcomes:
+            self._notify(outcome)
+        return outcomes
+
     def _notify(self, outcome: RoundOutcome) -> None:
         with self._lock:
             listeners = list(self._listeners)
@@ -533,33 +520,30 @@ class CheckpointBarrier:
                 if not round_.event.wait(max(remaining, 0.0)):
                     # Our deadline passed.  Settle the round as failed
                     # under the lock — unless it settled concurrently.
-                    with self._lock:
-                        if round_.status == ROUND_PENDING:
-                            self._settle_locked(
-                                round_, ROUND_FAILED,
-                                reason=(
-                                    f"rank {rank} timed out waiting for "
-                                    f"peers" if rank >= 0 else
-                                    "deadline passed before all peers "
-                                    "arrived"
-                                ),
-                            )
-                            settled_here = True
-                        else:
-                            settled_here = False
-                    if settled_here:
-                        self._notify(round_.outcome)
+                    self._fail_pending(
+                        lambda pending: pending is round_,
+                        f"rank {rank} timed out waiting for peers"
+                        if rank >= 0 else
+                        "deadline passed before all peers arrived",
+                    )
             outcome = round_.outcome
             if outcome is None:
                 continue
             if outcome.status == ROUND_COMPLETED:
                 return outcome
-            raise DistributedTimeoutError(
-                f"barrier round failed at step {outcome.step}: only "
-                f"{len(outcome.arrived)} of {self._world_size} workers "
-                f"arrived (missing ranks {list(outcome.missing)})"
-                + (f" — {outcome.reason}" if outcome.reason else "")
-            )
+            raise _round_failed(outcome, self._world_size)
+
+
+def _round_failed(
+    outcome: RoundOutcome, world_size: int
+) -> DistributedTimeoutError:
+    """The error every waiter on a failed round raises."""
+    return DistributedTimeoutError(
+        f"barrier round failed at step {outcome.step}: only "
+        f"{len(outcome.arrived)} of {world_size} workers arrived "
+        f"(missing ranks {list(outcome.missing)})"
+        + (f" — {outcome.reason}" if outcome.reason else "")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -603,23 +587,17 @@ class DistributedCoordinator:
 
     def __init__(
         self,
-        world_size: Optional[int] = None,
+        world_size: int,
         timeout: Optional[float] = 30.0,
         *,
-        barrier: Optional[CheckpointBarrier] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
     ) -> None:
-        if barrier is None:
-            if world_size is None:
-                raise DistributedError(
-                    "need a world size or an existing barrier"
-                )
-            barrier = CheckpointBarrier(
-                world_size, timeout=timeout, metrics=metrics, tracer=tracer
-            )
+        barrier = CheckpointBarrier(
+            world_size, timeout=timeout, metrics=metrics, tracer=tracer
+        )
         self._barrier = barrier
-        self._metrics = barrier.metrics if metrics is None else metrics
+        self._metrics = barrier.metrics
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._lock = threading.RLock()
         #: step -> [(rank, engine, slot)] held across that step's round.
@@ -748,12 +726,7 @@ class DistributedCoordinator:
                 return handle.wait(remaining)
         if outcome.status == ROUND_COMPLETED:
             return outcome
-        raise DistributedTimeoutError(
-            f"barrier round failed at step {outcome.step}: only "
-            f"{len(outcome.arrived)} of {self.world_size} workers arrived "
-            f"(missing ranks {list(outcome.missing)})"
-            + (f" — {outcome.reason}" if outcome.reason else "")
-        )
+        raise _round_failed(outcome, self.world_size)
 
     def close(self) -> None:
         """Stop the timeout watcher (held slots stay reclaimable)."""
@@ -1112,41 +1085,26 @@ class ConsistentCheckpoint:
 
 
 def valid_checkpoints(layout: DeviceLayout) -> List[CheckMeta]:
-    """All complete checkpoints currently on a device (slot scan).
+    """All complete checkpoints currently on a device, newest first.
 
     Includes superseded-but-not-yet-overwritten checkpoints — those are
     what make a globally consistent step recoverable when workers crashed
-    at different points.
+    at different points.  Reads each candidate's payload once.
     """
-    found: List[CheckMeta] = []
-    for header in layout.read_all_slot_headers():
-        if header is None or header.payload_len > layout.payload_capacity:
-            continue
-        payload = layout.read_payload(header)
-        if payload_crc(payload) == header.payload_crc:
-            found.append(header)
-    return found
+    record = read_commit_record(layout)
+    return [meta for meta, _source in candidates(layout, record)
+            if read_valid(layout, meta) is not None]
 
 
-def _candidate_steps(layout: DeviceLayout) -> Tuple[Dict[int, CheckMeta], Dict[int, str]]:
-    """Map step -> best validated meta for one rank's device.
-
-    The commit-record fast path is preferred for its step — it is the
-    rank's authoritative newest commit — with the slot scan filling in
-    the superseded-but-still-durable older steps.
-    """
-    by_step: Dict[int, CheckMeta] = {}
-    source: Dict[int, str] = {}
-    for meta in valid_checkpoints(layout):
-        existing = by_step.get(meta.step)
-        if existing is None or meta.counter > existing.counter:
-            by_step[meta.step] = meta
-            source[meta.step] = "slot-scan"
-    committed = _from_commit_record(layout)
-    if committed is not None:
-        by_step[committed.step] = committed
-        source[committed.step] = "commit-record"
-    return by_step, source
+def _by_step(
+    ranked: List[Tuple[CheckMeta, str]]
+) -> Dict[int, Tuple[CheckMeta, str]]:
+    """Step -> the first candidate for it in recovery order (the commit
+    record's checkpoint for its step, else the newest counter)."""
+    by_step: Dict[int, Tuple[CheckMeta, str]] = {}
+    for meta, source in ranked:
+        by_step.setdefault(meta.step, (meta, source))
+    return by_step
 
 
 def _reshard_payloads(
@@ -1186,14 +1144,15 @@ def recover_consistent(
 ) -> ConsistentCheckpoint:
     """Find and load the newest step every worker holds a checkpoint for.
 
-    Each payload's CRC is re-validated *after* the chunked
-    :meth:`~repro.core.recovery.PersistentIterator.read_all` — when
-    recovery runs concurrently with writers (an online reader), a slot
-    located via the scan can be recycled and overwritten between
-    locating and reading it.  A failed re-validation retries the whole
-    selection against the region's newer state, mirroring
-    :func:`~repro.core.recovery.recover`; after ``max_attempts`` the
-    error names the rank whose payload kept failing.
+    The per-rank step sets come from headers alone
+    (:func:`~repro.core.recovery.candidates`); their intersection names
+    the step, and each rank's payload for it is read once through the
+    :class:`~repro.core.recovery.PersistentIterator` and CRC-checked.  A
+    rank whose payload fails drops that candidate and the intersection
+    is taken again.  When failures leave no common step — a slot
+    recycled and overwritten under an online reader — the attempt
+    starts over from fresh headers; after ``max_attempts`` the error
+    names the rank whose payload kept failing.
 
     ``world_size`` asks for **elastic recovery**: the returned payloads
     are re-partitioned onto that many reader ranks (again as
@@ -1215,64 +1174,80 @@ def recover_consistent(
             f"target world size must be >= 1, got {world_size}"
         )
     started = time.monotonic()
-    unstable: Optional[Tuple[int, int]] = None  # (rank, step)
-    for _attempt in range(max_attempts):
-        per_worker: List[Dict[int, CheckMeta]] = []
-        per_worker_sources: List[Dict[int, str]] = []
-        for layout in layouts:
-            by_step, source = _candidate_steps(layout)
-            per_worker.append(by_step)
-            per_worker_sources.append(source)
-        common: Set[int] = set(per_worker[0])
-        for by_step in per_worker[1:]:
-            common &= set(by_step)
+    for attempt in range(1, max_attempts + 1):
+        step, picks, rank = _read_newest_common(layouts, chunk_size)
+        if picks is not None:
+            break
+    else:
+        raise DistributedError(
+            f"rank {rank}'s payload for step {step} failed CRC "
+            f"re-validation {max_attempts} times (slot kept changing "
+            f"under the reader); its device {layouts[rank].device.name} "
+            f"is unstable or corrupt"
+        )
+    metas = [meta for meta, _source, _payload in picks]
+    payloads = [payload for _meta, _source, payload in picks]
+    out_payloads = payloads
+    resharded = False
+    if world_size is not None and world_size != len(payloads):
+        out_payloads = _reshard_payloads(step, payloads, world_size)
+        resharded = True
+    if metrics is not None:
+        metrics.observe(M.RECOVERY_SECONDS, time.monotonic() - started)
+        metrics.inc(M.RECOVERY_ATTEMPTS, attempt)
+        metrics.inc(M.RECOVERY_BYTES, sum(len(p) for p in payloads))
+    return ConsistentCheckpoint(
+        step=step, payloads=out_payloads, metas=metas,
+        sources=[source for _meta, source, _payload in picks],
+        world_size=len(out_payloads),
+        writer_world=len(metas),
+        resharded=resharded,
+    )
+
+
+def _read_newest_common(
+    layouts: Sequence[DeviceLayout], chunk_size: int
+) -> Tuple[int, Optional[List[Tuple[CheckMeta, str, bytes]]], int]:
+    """One attempt of :func:`recover_consistent`.
+
+    Returns ``(step, picks, -1)`` with one ``(meta, source, payload)``
+    per rank, or ``(step, None, rank)`` naming the last payload that
+    failed its CRC when failures left no common step.  Raises
+    :class:`~repro.errors.NoCheckpointError` when the header step sets
+    never intersected.
+    """
+    ranked = [list(candidates(layout, read_commit_record(layout)))
+              for layout in layouts]
+    loaded: Dict[int, Tuple[CheckMeta, bytes]] = {}  # rank -> its read
+    failed: Optional[Tuple[int, int]] = None  # (step, rank)
+    while True:
+        per_rank = [_by_step(ranks) for ranks in ranked]
+        common = set(per_rank[0]).intersection(*per_rank[1:])
         if not common:
-            held = [sorted(by_step) for by_step in per_worker]
+            if failed is not None:
+                return failed[0], None, failed[1]
+            held = [sorted(by_step) for by_step in per_rank]
             raise NoCheckpointError(
                 "no training step has a valid checkpoint on every worker "
                 f"(per-rank steps: {held})"
             )
         step = max(common)
-        payloads: List[bytes] = []
-        metas: List[CheckMeta] = []
-        sources: List[str] = []
-        unstable = None
-        for rank, (layout, by_step) in enumerate(zip(layouts, per_worker)):
-            meta = by_step[step]
+        for rank, layout in enumerate(layouts):
+            meta = per_rank[rank][step][0]
+            if rank in loaded and loaded[rank][0] == meta:
+                continue
             payload = PersistentIterator(
                 layout, meta, chunk_size=chunk_size
             ).read_all()
-            if payload_crc(payload) != meta.payload_crc:
-                # Overwritten (or torn) under the reader: rescan.
-                unstable = (rank, step)
+            if not crc_matches(meta, payload):
+                # Torn, or overwritten under the reader: drop the
+                # candidate and intersect again.
+                ranked[rank] = [c for c in ranked[rank] if c[0] != meta]
+                failed = (step, rank)
                 break
-            payloads.append(payload)
-            metas.append(meta)
-            sources.append(per_worker_sources[rank][step])
-        if unstable is None:
-            out_payloads = payloads
-            resharded = False
-            if world_size is not None and world_size != len(payloads):
-                out_payloads = _reshard_payloads(step, payloads, world_size)
-                resharded = True
-            if metrics is not None:
-                metrics.observe(
-                    M.RECOVERY_SECONDS, time.monotonic() - started
-                )
-                metrics.inc(M.RECOVERY_ATTEMPTS, _attempt + 1)
-                metrics.inc(
-                    M.RECOVERY_BYTES, sum(len(p) for p in payloads)
-                )
-            return ConsistentCheckpoint(
-                step=step, payloads=out_payloads, metas=metas,
-                sources=sources,
-                world_size=len(out_payloads),
-                writer_world=len(metas),
-                resharded=resharded,
-            )
-    rank, step = unstable  # type: ignore[misc]
-    raise DistributedError(
-        f"rank {rank}'s payload for step {step} failed CRC re-validation "
-        f"{max_attempts} times (slot kept changing under the reader); "
-        f"its device {layouts[rank].device.name} is unstable or corrupt"
-    )
+            loaded[rank] = (meta, payload)
+        else:
+            return step, [
+                (*per_rank[rank][step], loaded[rank][1])
+                for rank in range(len(layouts))
+            ], -1

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.layout import DeviceLayout
-from repro.core.meta import RECORD_SIZE, CheckMeta, decode_commit_record, payload_crc
+from repro.core.meta import RECORD_SIZE, CheckMeta, decode_commit_record
+from repro.core.recovery import read_valid
 from repro.errors import LayoutError, StorageError
 from repro.storage.device import PersistentDevice
 from repro.storage.ssd import FileBackedSSD
@@ -104,6 +105,7 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
     except StorageError:
         report.commit_record = None
 
+    valid: Dict[int, CheckMeta] = {}  # slot -> header that validated
     for slot in range(layout.num_slots):
         try:
             header = layout.read_slot_header(slot)
@@ -114,52 +116,35 @@ def inspect_device(device: PersistentDevice) -> DeviceReport:
             report.slots.append(SlotReport(slot=slot, status="blank"))
             continue
         if header.payload_len > layout.payload_capacity:
-            report.slots.append(
-                SlotReport(slot=slot, status="oversized",
-                           counter=header.counter, step=header.step,
-                           payload_len=header.payload_len)
-            )
-            continue
-        try:
-            payload = layout.read_payload(header)
-        except StorageError:
-            report.slots.append(
-                SlotReport(slot=slot, status="unreadable",
-                           counter=header.counter, step=header.step,
-                           payload_len=header.payload_len)
-            )
-            continue
-        status = (
-            "valid" if payload_crc(payload) == header.payload_crc
-            else "corrupt-payload"
-        )
+            status = "oversized"
+        else:
+            try:
+                payload = read_valid(layout, header)
+            except StorageError:
+                status = "unreadable"
+            else:
+                status = "corrupt-payload" if payload is None else "valid"
+        if status == "valid":
+            valid[slot] = header
         report.slots.append(
             SlotReport(slot=slot, status=status, counter=header.counter,
                        step=header.step, payload_len=header.payload_len)
         )
 
-    if report.commit_record is not None:
-        pointed = next(
-            (s for s in report.slots if s.slot == report.commit_record.slot),
-            None,
-        )
-        report.commit_record_trusted = (
-            pointed is not None
-            and pointed.status == "valid"
-            and pointed.counter == report.commit_record.counter
-        )
-
-    from repro.core.recovery import find_committed
-
-    choice = find_committed(layout)
-    report.recovery_choice = choice
-    if choice is not None:
-        report.recovery_source = (
-            "commit-record" if report.commit_record_trusted
-            and report.commit_record is not None
-            and choice.counter == report.commit_record.counter
-            else "slot-scan"
-        )
+    # The same choice recover() makes, from the statuses above: the
+    # commit record's checkpoint when its slot validated under the same
+    # counter, else the newest valid slot.
+    record = report.commit_record
+    pointed = valid.get(record.slot) if record is not None else None
+    report.commit_record_trusted = (
+        pointed is not None and pointed.counter == record.counter
+    )
+    if report.commit_record_trusted:
+        report.recovery_choice = record
+        report.recovery_source = "commit-record"
+    elif valid:
+        report.recovery_choice = max(valid.values(), key=lambda h: h.counter)
+        report.recovery_source = "slot-scan"
     return report
 
 

@@ -1,11 +1,13 @@
 """Recovery: find and load the newest valid checkpoint (§4.2).
 
 ``CHECK_ADDR`` (the commit record) points to the last consistent
-checkpoint.  Recovery validates it — magic, record CRC, matching slot
-header, and payload CRC — and loads the payload.  If the commit record
-itself was torn by the crash, recovery falls back to scanning all slot
-headers and picking the newest slot whose header and payload both
-validate.  The fallback is sound because:
+checkpoint.  Recovery reads it and orders the checkpoints the headers
+name — 64-byte reads, no payload: the commit record's first (when its
+slot's header carries the same counter), then the other headers newest
+counter first.  It then reads each candidate's payload once and returns
+the first whose CRC matches its header.  A torn commit record therefore
+falls back to the newest slot that validates.  The fallback is sound
+because:
 
 * headers are written and persisted only *after* the slot's payload is
   fully durable, so a valid header + matching payload CRC proves a
@@ -13,6 +15,11 @@ validate.  The fallback is sound because:
 * a recycled slot being overwritten still carries its old header, but the
   payload underneath no longer matches that header's CRC, so it is
   rejected rather than trusted.
+
+This module is the only place a payload read back from a device or a
+remote store is checked against its CRC; every other recovery path
+(distributed, inspection, tier demotion, the service batcher) calls in
+here.
 
 The loader is exposed as a *persistent iterator* that reads the payload in
 chunks and logs every read location, mirroring the paper's recovery path
@@ -83,52 +90,60 @@ class PersistentIterator:
         return b"".join(self)
 
 
-def find_committed(layout: DeviceLayout) -> Optional[CheckMeta]:
-    """Locate the newest valid checkpoint's metadata, or ``None``.
-
-    Fast path: the commit record.  Fallback: scan every slot header and
-    validate payloads, keeping the highest counter that checks out.
-    """
-    meta = _from_commit_record(layout)
-    if meta is not None:
-        return meta
-    return _from_slot_scan(layout)
-
-
-def _from_commit_record(layout: DeviceLayout) -> Optional[CheckMeta]:
+def read_commit_record(layout: DeviceLayout) -> Optional[CheckMeta]:
+    """The region's commit record, or ``None`` when blank or torn."""
     raw = layout.device.read(layout.commit_offset, RECORD_SIZE)
-    meta = decode_commit_record(raw)
-    if meta is None:
-        return None
-    if meta.slot >= layout.num_slots:
-        return None
-    header = layout.read_slot_header(meta.slot)
-    if header is None or header.counter != meta.counter:
-        return None
-    if not _payload_valid(layout, meta):
-        return None
-    return meta
+    return decode_commit_record(raw)
 
 
-def _from_slot_scan(layout: DeviceLayout) -> Optional[CheckMeta]:
-    best: Optional[CheckMeta] = None
-    for header in layout.read_all_slot_headers():
-        if header is None:
-            continue
+def candidates(
+    layout: DeviceLayout, record: Optional[CheckMeta]
+) -> Iterator[Tuple[CheckMeta, str]]:
+    """The checkpoints the headers name, in the order recovery tries them.
+
+    First ``record``'s checkpoint (source ``"commit-record"``), when its
+    slot's header carries the same counter; then every other slot header,
+    newest counter first (``"slot-scan"``).  Headers whose length exceeds
+    a slot are dropped.  Lazy: the other headers are read only once the
+    first candidate has been consumed, so the common case costs the
+    commit record and one header.  Nothing here reads a payload: whether
+    a candidate is valid is decided by its one :func:`read_valid`.
+    """
+    pointed_slot, pointed = -1, None
+    first: Optional[CheckMeta] = None
+    if record is not None and record.slot < layout.num_slots:
+        pointed_slot = record.slot
+        pointed = layout.read_slot_header(pointed_slot)
+        if pointed is not None and pointed.counter == record.counter:
+            first = record
+            if record.payload_len <= layout.payload_capacity:
+                yield record, "commit-record"
+    headers = [pointed if slot == pointed_slot else layout.read_slot_header(slot)
+               for slot in range(layout.num_slots)]
+    for header in sorted((h for h in headers if h is not None),
+                         key=lambda h: h.counter, reverse=True):
         if header.payload_len > layout.payload_capacity:
             continue
-        if best is not None and header.counter <= best.counter:
-            continue
-        if _payload_valid(layout, header):
-            best = header
-    return best
+        if first is None or header.counter != first.counter:
+            yield header, "slot-scan"
 
 
-def _payload_valid(layout: DeviceLayout, meta: CheckMeta) -> bool:
-    if meta.payload_len > layout.payload_capacity:
-        return False
-    payload = layout.read_payload(meta)
+def crc_matches(meta: CheckMeta, payload: bytes) -> bool:
+    """Whether ``payload`` is the checkpoint ``meta`` describes."""
     return payload_crc(payload) == meta.payload_crc
+
+
+def read_valid(
+    layout: DeviceLayout, meta: CheckMeta, chunk_size: int = DEFAULT_READ_CHUNK
+) -> Optional[bytes]:
+    """Read ``meta``'s payload once; the bytes if their CRC matches.
+
+    ``None`` means the slot does not hold that checkpoint (torn, or
+    recycled and being overwritten).  The bytes returned are the bytes
+    that were checked.
+    """
+    payload = PersistentIterator(layout, meta, chunk_size=chunk_size).read_all()
+    return payload if crc_matches(meta, payload) else None
 
 
 def recover(
@@ -140,13 +155,14 @@ def recover(
 ) -> RecoveredCheckpoint:
     """Load the newest valid checkpoint from a formatted region.
 
-    The returned payload is re-validated against the header CRC *after*
-    the chunked read: when recovery runs concurrently with writers (an
-    online reader polling the region), a slot located via the scan path
-    can be recycled and overwritten between locating it and reading it —
-    the post-read check catches that and the attempt is retried against
-    the region's newer state.  After a crash there are no writers, so the
-    first attempt always suffices.
+    Each attempt walks :func:`candidates` — the commit record, then slot
+    headers as the walk needs them — reading each candidate's payload
+    once, and returns the first whose CRC matches.  When recovery runs
+    concurrently with writers (an online reader polling the region),
+    every candidate can be recycled and overwritten under the reader;
+    the commit record has then moved, and the next attempt walks the
+    region's newer state.  After a crash there are no writers, so the
+    first attempt always decides.
 
     ``metrics``/``tracer`` record the restart-path telemetry the Eq. 4
     recovery bound is checked against: wall-clock recovery seconds, bytes
@@ -172,24 +188,29 @@ def recover(
             counter=meta.counter if meta is not None else None,
         )
 
-    for attempt in range(max_attempts):
-        meta = _from_commit_record(layout)
-        source = "commit-record"
-        if meta is None:
-            meta = _from_slot_scan(layout)
-            source = "slot-scan"
-        if meta is None:
-            _observe("no-checkpoint", attempts=attempt + 1)
-            raise NoCheckpointError(
-                f"no valid checkpoint found on {layout.device.name}"
-            )
-        iterator = PersistentIterator(layout, meta, chunk_size=chunk_size)
-        payload = iterator.read_all()
-        if payload_crc(payload) == meta.payload_crc:
-            _observe(source, meta=meta, nbytes=len(payload),
-                     attempts=attempt + 1)
-            return RecoveredCheckpoint(meta=meta, payload=payload,
-                                       source=source)
+    record = read_commit_record(layout)
+    for attempt in range(1, max_attempts + 1):
+        tried = False
+        for meta, source in candidates(layout, record):
+            tried = True
+            payload = read_valid(layout, meta, chunk_size)
+            if payload is not None:
+                _observe(source, meta=meta, nbytes=len(payload),
+                         attempts=attempt)
+                return RecoveredCheckpoint(meta=meta, payload=payload,
+                                           source=source)
+        if tried:
+            # A slot is recycled only after a newer commit, so a walk
+            # that found nothing valid while the record moved raced a
+            # writer; an unmoved record means nothing valid is there.
+            again = read_commit_record(layout)
+            if again != record:
+                record = again
+                continue
+        _observe("no-checkpoint", attempts=attempt)
+        raise NoCheckpointError(
+            f"no valid checkpoint found on {layout.device.name}"
+        )
     _observe("unstable", attempts=max_attempts)
     raise NoCheckpointError(
         f"checkpoint on {layout.device.name} kept changing under the "
@@ -301,7 +322,7 @@ def recover_tiered(
                 if meta is None:
                     continue
                 payload = blob[RECORD_SIZE:RECORD_SIZE + meta.payload_len]
-                if payload_crc(payload) != meta.payload_crc:
+                if not crc_matches(meta, payload):
                     continue
                 _note("remote", "recovered")
                 if metrics is not None:

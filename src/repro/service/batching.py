@@ -383,13 +383,10 @@ class CoalescingBatcher:
     def committed_entries(self) -> Dict[str, BatchEntry]:
         """Per-tenant entries of the newest durable batch, read back from
         the device (what a post-crash recovery would see)."""
-        from repro.core.recovery import PersistentIterator, find_committed
+        from repro.core.recovery import try_recover
 
-        meta = find_committed(self._lease.layout)
-        if meta is None:
-            return {}
-        payload = PersistentIterator(self._lease.layout, meta).read_all()
-        return parse_batch(payload)
+        recovered = try_recover(self._lease.layout)
+        return {} if recovered is None else parse_batch(recovered.payload)
 
     # ------------------------------------------------------------------
     # lifecycle

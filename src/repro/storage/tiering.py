@@ -57,8 +57,8 @@ from repro.core.meta import (
     CheckMeta,
     encode_commit_record,
     encode_slot_header,
-    payload_crc,
 )
+from repro.core.recovery import read_valid
 from repro.core.writer import ParallelWriter
 from repro.errors import (
     ConfigError,
@@ -278,12 +278,14 @@ class TierPolicy:
         start = time.monotonic()
         # Re-read and re-validate the hot copy: the slot may have been
         # recycled under a newer checkpoint since this commit queued.
+        # One chunk: the payload is read in one piece, with no join.
         try:
-            payload = self._hot_layout.read_payload(meta)
+            payload = read_valid(self._hot_layout, meta,
+                                 chunk_size=meta.payload_len)
         except PCcheckError as exc:
             self._count_failure("hot", exc)
             return
-        if payload_crc(payload) != meta.payload_crc:
+        if payload is None:
             with self._lock:
                 self.skipped += 1
             self._inc(M.TIER_DEMOTION_SKIPPED)

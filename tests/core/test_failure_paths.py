@@ -19,13 +19,15 @@ A fourth regression: a non-crash error inside ``CheckpointTicket.commit``
 such faults left no free slot and every later ``begin()`` blocked.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import open_checkpointer
 from repro.core.engine import CheckpointEngine
 from repro.core.freelist import EMPTY
 from repro.core.layout import DeviceLayout, Geometry
-from repro.core.meta import RECORD_SIZE
+from repro.core.meta import RECORD_SIZE, decode_commit_record, encode_commit_record
 from repro.core.orchestrator import PCcheckOrchestrator
 from repro.core.recovery import recover, try_recover
 from repro.core.snapshot import BytesSource
@@ -227,14 +229,25 @@ class TestOrchestratorFailurePaths:
         assert engine.free_slots == NUM_SLOTS - 1
 
 
-class _FlakyPayloadReads:
-    """Device proxy: every second payload-sized read returns garbage, so
-    the post-read CRC check always fails and recover() must retry."""
+class _LiveWriterDevice:
+    """Device proxy standing in for a writer racing an online reader.
 
-    def __init__(self, inner, payload_len):
+    Every payload-sized read returns garbage (the slot is being
+    overwritten under the reader).  With ``advance`` set, every commit
+    record read also returns a newer counter (the writer keeps
+    committing), so each re-read of the record shows the region moved.
+    """
+
+    def __init__(self, inner, layout, advance=True):
         self._inner = inner
-        self._payload_len = payload_len
+        self._payload_len = layout.payload_capacity
+        self._commit_offset = layout.commit_offset
+        self._committed = decode_commit_record(
+            inner.read(layout.commit_offset, RECORD_SIZE)
+        )
+        self._advance = advance
         self.payload_reads = 0
+        self.record_reads = 0
 
     @property
     def name(self):
@@ -245,13 +258,17 @@ class _FlakyPayloadReads:
         return self._inner.capacity
 
     def read(self, offset, length):
-        data = self._inner.read(offset, length)
         if length == self._payload_len:
-            corrupt = self.payload_reads % 2 == 1
             self.payload_reads += 1
-            if corrupt:
-                return b"\x00" * length
-        return data
+            return b"\x00" * length
+        if offset == self._commit_offset and length == RECORD_SIZE:
+            self.record_reads += 1
+            if self._advance:
+                return encode_commit_record(dataclasses.replace(
+                    self._committed,
+                    counter=self._committed.counter + self.record_reads,
+                ))
+        return self._inner.read(offset, length)
 
     def write(self, offset, data):
         self._inner.write(offset, data)
@@ -261,7 +278,7 @@ class _FlakyPayloadReads:
 
 
 class TestTryRecoverForwardsMaxAttempts:
-    def build_flaky_layout(self):
+    def build_live_layout(self, advance=True):
         geometry = Geometry(num_slots=NUM_SLOTS, slot_size=SLOT_SIZE)
         inner = InMemorySSD(capacity=geometry.total_size)
         layout = DeviceLayout.format(
@@ -269,23 +286,32 @@ class TestTryRecoverForwardsMaxAttempts:
         )
         payload = b"m" * PAYLOAD_CAPACITY
         CheckpointEngine(layout, writer_threads=1).checkpoint(payload, step=1)
-        flaky = _FlakyPayloadReads(inner, len(payload))
-        return DeviceLayout.open(flaky), flaky
+        live = _LiveWriterDevice(inner, layout, advance=advance)
+        return DeviceLayout.open(live), live
 
     def test_recover_bounds_its_attempts(self):
-        layout, flaky = self.build_flaky_layout()
+        layout, live = self.build_live_layout()
         with pytest.raises(NoCheckpointError, match="kept changing"):
             recover(layout, max_attempts=3)
-        # Each attempt reads the payload twice: once validating the
-        # located record, once through the persistent iterator.
-        assert flaky.payload_reads == 2 * 3
+        # One candidate, read once per attempt; the moving commit record
+        # is what makes each attempt retry.
+        assert live.payload_reads == 3
 
     def test_try_recover_honours_the_same_bound(self):
         """Regression: try_recover() used to drop max_attempts, so a
         caller asking for 3 attempts silently got the default 8."""
-        layout, flaky = self.build_flaky_layout()
+        layout, live = self.build_live_layout()
         assert try_recover(layout, max_attempts=3) is None
-        assert flaky.payload_reads == 2 * 3
+        assert live.payload_reads == 3
+
+    def test_torn_payload_under_a_still_record_is_not_retried(self):
+        """A commit record that did not move means nothing is racing
+        the reader: a payload failing its CRC is torn, and recovery says
+        so after one read instead of spending its retry budget."""
+        layout, live = self.build_live_layout(advance=False)
+        with pytest.raises(NoCheckpointError, match="no valid checkpoint"):
+            recover(layout, max_attempts=3)
+        assert live.payload_reads == 1
 
 
 class TestBeginTimeoutMessage:

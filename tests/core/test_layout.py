@@ -181,34 +181,22 @@ class TestAlignedHeaders:
 
 
 class TestSuperblockVersions:
-    def test_v1_superblock_opens_with_compact_header(self):
-        """Regions formatted before the header_size field (v1) must keep
-        opening, with headers at the legacy RECORD_SIZE."""
-        import struct
-        import zlib
-
-        from repro.core.layout import _SB_MAGIC, _SB_STRUCT_V1
-
-        geometry = Geometry(num_slots=2, slot_size=512)
-        device = InMemorySSD(capacity=geometry.total_size)
-        body = _SB_STRUCT_V1.pack(_SB_MAGIC, 1, 2, 512)
-        device.write(0, body + struct.pack("<I", zlib.crc32(body)))
-        device.persist(0, len(body) + 4)
-        layout = DeviceLayout.open(device)
-        assert layout.geometry.header_size == RECORD_SIZE
-        assert layout.num_slots == 2
-
     def test_unknown_version_rejected(self):
+        """Only the current superblock opens; the v1 read path (regions
+        without a header_size field) is gone too."""
         import struct
         import zlib
 
         from repro.core.layout import _SB_MAGIC, _SB_STRUCT
 
-        device = InMemorySSD(capacity=1 << 16)
-        body = _SB_STRUCT.pack(_SB_MAGIC, 99, 2, 512, RECORD_SIZE)
-        device.write(0, body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(LayoutError, match="version"):
-            DeviceLayout.open(device)
+        for version in (1, 99):
+            device = InMemorySSD(capacity=1 << 16)
+            body = _SB_STRUCT.pack(_SB_MAGIC, version, 2, 512, RECORD_SIZE)
+            device.write(0, body + struct.pack("<I", zlib.crc32(body)))
+            with pytest.raises(
+                LayoutError, match=f"unsupported layout version {version}"
+            ):
+                DeviceLayout.open(device)
 
     def test_invalid_header_size_rejected(self):
         import struct

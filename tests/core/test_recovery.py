@@ -7,7 +7,6 @@ from repro.core.layout import DeviceLayout, Geometry
 from repro.core.meta import RECORD_SIZE
 from repro.core.recovery import (
     PersistentIterator,
-    find_committed,
     recover,
     try_recover,
 )
@@ -31,11 +30,11 @@ class TestFastPath:
         assert recovered.source == "commit-record"
         assert recovered.payload == b"hello"
 
-    def test_find_committed_matches_engine_state(self):
+    def test_recovered_meta_matches_engine_state(self):
         engine = make_engine()
         engine.checkpoint(b"v1", step=1)
         engine.checkpoint(b"v2", step=2)
-        assert find_committed(engine.layout) == engine.committed()
+        assert recover(engine.layout).meta == engine.committed()
 
     def test_empty_region_raises(self):
         engine = make_engine()
